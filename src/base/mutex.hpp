@@ -1,10 +1,11 @@
 // Annotated synchronization primitives (DESIGN.md §11).
 //
 // The only mutexes allowed in src/ outside this file are these wrappers:
-// scap_analyzer.py (rule mutex-discipline) flags any raw std::mutex,
+// scap_callgraph.py (rule mutex-discipline) flags any raw std::mutex,
 // std::lock_guard, std::unique_lock or std::condition_variable declaration
-// elsewhere, because a raw mutex is invisible to the clang thread-safety
-// analysis — fields it guards cannot be annotated against it.
+// outside the Mutex and CondVar wrappers, because a raw mutex is invisible
+// to the clang thread-safety analysis — fields it guards cannot be
+// annotated against it.
 //
 // SerialDomain is the capability for state that is serialized structurally
 // rather than by a lock: the kernel's entry points require it, the capture

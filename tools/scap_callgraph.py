@@ -1,23 +1,29 @@
 #!/usr/bin/env python3
-"""scap_callgraph — whole-program hot-path purity analysis (DESIGN.md §14).
+"""scap_callgraph — whole-program datapath analysis (DESIGN.md §11, §14).
 
-scap_analyzer.py checks functions one at a time; this tool checks the
-*transitive closure*. It extracts the intra-project call graph — member
-calls, overload resolution (clang frontend), constructor calls, calls
-through std::unique_ptr, and FunctionRef / std::function callback
-registration sites — anchors on functions annotated SCAP_HOT
-(src/base/hotpath.hpp), and reports every forbidden operation reachable
+Extracts the intra-project call graph — member calls, overload resolution
+(clang frontend), constructor calls, calls through std::unique_ptr, and
+FunctionRef / std::function callback registration sites — plus the
+declarations and class fields the concurrency rules need. Two rule
+families run over that one IR.
+
+Hot-path purity anchors on functions annotated SCAP_HOT
+(src/base/hotpath.hpp) and reports every forbidden operation reachable
 from a hot root with its full witness call chain:
 
     kernel::ScapKernel::handle_batch -> kernel::SegmentStore::insert
         -> std::map::emplace
+
+Concurrency discipline checks the lock/queue contracts of DESIGN.md §11
+structurally, so they gate even where clang's -Wthread-safety does not run.
 
 Rules (registry: tools/scap_rules.py)
 -------------------------------------
 hot-alloc      operator new (non-placement), malloc/calloc/realloc,
                std::make_unique/make_shared, allocating members of std
                containers (push_back/insert/emplace/resize/..., map
-               operator[]) reachable from a SCAP_HOT root.
+               operator[]) reachable from a SCAP_HOT root. Receiver types
+               are resolved through `using`/`typedef` aliases.
 hot-mutex      base::Mutex / std::mutex acquisition or CondVar wait
                reachable from a SCAP_HOT root. base::SerialDomain /
                SerialGuard are zero-cost capabilities, never flagged.
@@ -27,6 +33,23 @@ hot-throw      throw expressions (stack unwind on the datapath).
 hot-recursion  direct or mutual recursion cycles inside the hot closure
                (unbounded stack on attacker-controlled input).
 hot-cold-call  calls from the hot closure into SCAP_COLD functions.
+spsc-discipline
+               a call edge to a single-threaded queue end
+               (SpscRing::try_push/try_pop/pop_batch, MpscQueue::try_pop)
+               from a function with no serial-domain evidence: neither
+               SCAP_REQUIRES / SCAP_ASSERT_CAPABILITY in its signature nor
+               a SerialGuard in its body. Evidence is read from the
+               definition's source text, so both frontends agree.
+               MpscQueue::try_push is exempt (multi-producer by design),
+               as are the queue classes' own members.
+mutex-discipline
+               a variable or field whose type resolves (through aliases)
+               to a raw std:: mutex, lock or condition variable outside
+               the annotated wrappers base::Mutex / base::CondVar — a raw
+               mutex cannot be named by SCAP_GUARDED_BY.
+guard-coverage the pinned capability table (REQUIRED_GUARDS, DESIGN.md
+               §11) holds: each listed field is declared with its
+               SCAP_GUARDED_BY / SCAP_PT_GUARDED_BY annotation.
 stale-waiver   a waiver naming one of the rules above that no longer
                suppresses anything (waivers rot silently otherwise).
 
@@ -56,9 +79,9 @@ accepted debts.
 Frontends
 ---------
 --frontend clang   libclang over build/compile_commands.json (falling
-                   back to default flags), sharing scap_analyzer.py's
-                   loader and exit-77-when-absent convention. Precise:
-                   real overload resolution, templates, canonical types.
+                   back to default flags); exits 77 when libclang is
+                   absent. Precise: real overload resolution, templates,
+                   canonical types.
 --frontend text    a structural scanner (namespace/class tracking,
                    declared-type receiver resolution) that needs no
                    toolchain. Best-effort but deliberately tuned to
@@ -132,6 +155,82 @@ CALLBACK_TYPE_RE = re.compile(r"\b(FunctionRef|std::function)\s*<")
 CHECK_RULES = ("hot-alloc", "hot-mutex", "hot-syscall", "hot-throw",
                "hot-cold-call")
 
+# ---------------------------------------------------------------------------
+# Concurrency-discipline tables (DESIGN.md §11).
+# ---------------------------------------------------------------------------
+
+# spsc-discipline: "Class::method" (last two components of the callee) ->
+# which end of the queue it is. MpscQueue::try_push is deliberately absent:
+# any thread may produce into an MPSC queue.
+SPSC_ENDS = {
+    "SpscRing::try_push": "producer",
+    "SpscRing::try_pop": "consumer",
+    "SpscRing::pop_batch": "consumer",
+    "MpscQueue::try_pop": "consumer",
+}
+QUEUE_CLASSES = {"SpscRing", "MpscQueue"}
+SERIAL_SIG_RE = re.compile(
+    r"\bSCAP_REQUIRES\b|\bSCAP_ASSERT_CAPABILITY\b"
+    r"|\brequires_capability\b|\bassert_capability\b")
+SERIAL_BODY_RE = re.compile(r"\bSerialGuard\b")
+
+# mutex-discipline: raw std synchronization types, matched on the declared
+# type after alias expansion (text) or on the canonical type (clang).
+RAW_SYNC_RE = re.compile(
+    r"\bstd::(?:(?:recursive_|timed_|recursive_timed_|shared_|"
+    r"shared_timed_)?mutex|condition_variable(?:_any)?|lock_guard|"
+    r"unique_lock|scoped_lock|shared_lock)\b")
+# The annotated wrappers (src/base/mutex.hpp) are the only owners allowed
+# to hold a raw primitive.
+MUTEX_WRAPPERS = ("base::Mutex", "base::CondVar")
+
+# guard-coverage: the pinned capability table (DESIGN.md §11), class ->
+# field -> annotation macro its declaration must carry. Names are
+# canonical (root namespace stripped).
+REQUIRED_GUARDS = {
+    "Capture": {
+        "nic_": "SCAP_PT_GUARDED_BY",
+        "kernel_": "SCAP_PT_GUARDED_BY",
+        "tracer_": "SCAP_PT_GUARDED_BY",
+        # Producer-side tick and RSS-steering state of the sharded path.
+        # events_dispatched_ is deliberately absent: workers bump it as a
+        # plain atomic, outside any lock.
+        "last_tick_": "SCAP_GUARDED_BY",
+        "ticks_started_": "SCAP_GUARDED_BY",
+        "rx_queues_": "SCAP_GUARDED_BY",
+        # Ring admission / watchdog knobs: written by set_parameter before
+        # start(), read when start() translates them to shard options.
+        "ring_policy_": "SCAP_GUARDED_BY",
+    },
+    "kernel::ScapKernel": {
+        "nic_": "SCAP_PT_GUARDED_BY",
+        "tracer_": "SCAP_PT_GUARDED_BY",
+        "fdir_queue_": "SCAP_PT_GUARDED_BY",
+    },
+    "kernel::KernelShards": {
+        "pushed_": "SCAP_GUARDED_BY",
+        "stopped_": "SCAP_GUARDED_BY",
+        # Watchdog heartbeats + admission hysteresis are producer-private
+        # state, pinned to the producer serial domain like the push counts.
+        "watchdog_": "SCAP_GUARDED_BY",
+    },
+    "kernel::KernelShards::Shard": {
+        "snapshot": "SCAP_GUARDED_BY",
+        "snap_trace_recorded": "SCAP_GUARDED_BY",
+        "snap_trace_dropped": "SCAP_GUARDED_BY",
+        "snap_metrics": "SCAP_GUARDED_BY",
+    },
+}
+
+
+def serial_evidence(sig, body):
+    """True when a function definition shows it runs inside a serial
+    domain: a capability in its signature, or a SerialGuard in its body.
+    Both arguments are source text; comments are stripped here so both
+    frontends read the same tokens."""
+    return bool(SERIAL_SIG_RE.search(strip_code(sig))
+                or SERIAL_BODY_RE.search(strip_code(body)))
+
 
 def norm_std(name):
     """Canonicalize a std qualified name across library internals so both
@@ -186,6 +285,7 @@ class Edge:
         self.file = file
         self.line = line
         self.kind = kind          # "call" | "callback" (fans out to pool)
+        self.serial = False       # calling definition holds a serial domain
 
 
 class Node:
@@ -210,6 +310,9 @@ class Graph:
         self.nodes = {}          # canonical name -> Node
         self.pool = set()        # named callables bound as callbacks
         self.raw_lines = {}      # rel path -> raw source lines (waivers)
+        self.classes = {}        # class qual -> (file, line) of definition
+        self.fields = {}         # class qual -> {field: (file, line, decl)}
+        self.sync_decls = []     # (file, line, type, owner) raw std sync
 
     def node(self, name, file, line):
         n = self.nodes.get(name)
@@ -446,11 +549,15 @@ def parse_func_sig(stmt):
 
 FIELD_DECL_RE = re.compile(
     r"^(?:(?:static|mutable|constexpr|const|inline|volatile)\s+)*"
-    r"([A-Za-z_][\w:]*(?:\s*<.*>)?(?:\s*(?:const\b|[&*]))*)"
+    r"((?:(?:unsigned|signed|long|short)\s+)*"
+    r"[A-Za-z_][\w:]*(?:\s*<.*>)?(?:\s*(?:const\b|[&*]))*)"
     r"\s+([A-Za-z_]\w*)\s*(\[[^\]]*\]\s*)?(?:=[^;]*)?$")
 
 USING_ALIAS_RE = re.compile(r"^using\s+([A-Za-z_]\w*)\s*=\s*(.+)$")
+TYPEDEF_RE = re.compile(r"^typedef\s+(.+?)\s*\b([A-Za-z_]\w*)$")
+TYPE_NAME_RE = re.compile(r"[A-Za-z_][\w:]*")
 
+ACCESS_LABELS = ("public", "private", "protected")
 SCAP_MACRO_RE = re.compile(r"\bSCAP_(?!HOT\b|COLD\b)[A-Z_]+\s*(\([^()]*\))?")
 ATTR_RE = re.compile(r"\[\[[^\]]*\]\]")
 
@@ -475,7 +582,8 @@ class TextFrontend:
         self.class_methods = {}    # class qual -> set(method last names)
         self.classes = {}          # short name -> set of canonical quals
         self.aliases = {}          # alias short name -> type str
-        self.bodies = []           # (node name, rel, code, start_off, line)
+        self.bodies = []           # (node, rel, body, line, params, sig)
+        self.sync_cands = []       # (rel, line, type str, owner) to resolve
         self._code = {}            # rel -> stripped code text
 
     # -- pass A+B: structure ------------------------------------------------
@@ -490,6 +598,7 @@ class TextFrontend:
         scopes = []
         stmt = []
         stmt_line = 1
+        stmt_started = False  # stmt_line is the statement's first token
         stmt_paren = 0
         stmt_brace = 0
         line = 1
@@ -512,9 +621,11 @@ class TextFrontend:
                         self.bodies.append(
                             (func["name"], rel,
                              code[func["body_off"] + 1:i],
-                             func["body_line"], func["params"]))
+                             func["body_line"], func["params"],
+                             func["sig"]))
                         func = None
                         stmt = []
+                        stmt_started = False
                         stmt_paren = stmt_brace = 0
                         stmt_line = line
                 i += 1
@@ -539,10 +650,12 @@ class TextFrontend:
                     self._mark(qual, hot, cold)
                     self._note_method(scopes, name)
                     func = {"name": qual, "depth": 1, "body_off": i,
-                            "body_line": line, "params": params}
+                            "body_line": line, "params": params,
+                            "sig": text_so_far}
                 else:
                     scopes.append(kind[1] if kind else Scope("block"))
                 stmt = []
+                stmt_started = False
                 stmt_paren = 0
                 stmt_line = line
             elif c == "}":
@@ -553,16 +666,26 @@ class TextFrontend:
                     if scopes:
                         scopes.pop()
                     stmt = []
+                    stmt_started = False
                     stmt_paren = 0
                     stmt_line = line
             elif c == ";" and stmt_brace == 0:
                 self._decl_stmt("".join(stmt), scopes, rel, stmt_line)
                 stmt = []
+                stmt_started = False
                 stmt_paren = 0
                 stmt_line = line
+            elif (c == ":" and code[i - 1:i] != ":"
+                  and code[i + 1:i + 2] != ":"
+                  and "".join(stmt).strip() in ACCESS_LABELS):
+                # An access label is not part of the next statement (whose
+                # line would otherwise be the label's).
+                stmt = []
+                stmt_started = False
             else:
-                if not stmt and not c.isspace():
+                if not stmt_started and not c.isspace():
                     stmt_line = line
+                    stmt_started = True
                 stmt.append(c)
             i += 1
 
@@ -570,7 +693,6 @@ class TextFrontend:
         """A `{` that belongs to an initializer (field/var brace-init,
         `= {...}`), not to a new scope."""
         s = stmt.strip()
-        s = re.sub(r"\b(?:public|private|protected)\s*:", " ", s).strip()
         if not s:
             return False
         if find_toplevel(s, "=") >= 0:
@@ -585,7 +707,6 @@ class TextFrontend:
 
     def _classify(self, stmt, scopes, rel, line):
         s = stmt.strip()
-        s = re.sub(r"\b(?:public|private|protected)\s*:", " ", s).strip()
         if not s:
             return ("block", Scope("block"))
         m = re.match(r"(?:inline\s+)?namespace\s*([A-Za-z_][\w:]*)?\s*$", s)
@@ -606,6 +727,7 @@ class TextFrontend:
                 self.classes.setdefault(name, set()).add(qual)
                 self.class_fields.setdefault(qual, {})
                 self.class_methods.setdefault(qual, set())
+                self.graph.classes.setdefault(qual, (rel, line))
             return ("class", Scope("class", name, qual))
         sig = parse_func_sig(st)
         if sig is not None:
@@ -643,7 +765,6 @@ class TextFrontend:
 
     def _decl_stmt(self, stmt, scopes, rel, line):
         s = stmt.strip()
-        s = re.sub(r"\b(?:public|private|protected)\s*:", " ", s).strip()
         if not s:
             return
         s = ATTR_RE.sub(" ", s)
@@ -651,6 +772,10 @@ class TextFrontend:
         um = USING_ALIAS_RE.match(s)
         if um:
             self.aliases[um.group(1)] = um.group(2).strip()
+            return
+        tm = TYPEDEF_RE.match(s)
+        if tm and "(" not in s:
+            self.aliases[tm.group(2)] = tm.group(1).strip()
             return
         first = s.split()[0].split("<")[0] if s.split() else ""
         if first in ("using", "typedef", "friend", "namespace", "return",
@@ -665,14 +790,22 @@ class TextFrontend:
                 self._mark(self._qualify(scopes, sig[0]), hot, cold)
                 self._note_method(scopes, sig[0])
             return
-        cls = self._cur_class(scopes)
-        if cls is None or first in ("class", "struct", "union"):
+        if first in ("class", "struct", "union"):
             return
         body = re.sub(r"^\s*(?:SCAP_HOT|SCAP_COLD)\s+", "", body)
         fm = FIELD_DECL_RE.match(body)
-        if fm:
-            self.class_fields.setdefault(cls, {})[fm.group(2)] = \
-                fm.group(1).strip()
+        if fm is None:
+            return
+        name, tstr = fm.group(2), fm.group(1).strip()
+        cls = self._cur_class(scopes)
+        if cls is None:  # namespace-scope variable
+            owner = self._qualify(scopes, name).rpartition("::")[0]
+        else:
+            owner = cls
+            self.class_fields.setdefault(cls, {})[name] = tstr
+            self.graph.fields.setdefault(cls, {})[name] = \
+                (rel, line, stmt.strip())
+        self.sync_cands.append((rel, line, tstr, owner))
 
     # -- type resolution ----------------------------------------------------
 
@@ -758,9 +891,31 @@ class TextFrontend:
             prefix = "::".join(name.split("::")[:-1])
             if prefix not in class_prefixes:
                 self._free_by_last.setdefault(last, []).append(name)
-        for name, rel, body, line0, params in self.bodies:
-            self._scan_body(self.graph.nodes[name], rel, body, line0, params)
+        for name, rel, body, line0, params, sig in self.bodies:
+            node = self.graph.nodes[name]
+            start = len(node.edges)
+            self._scan_body(node, rel, body, line0, params)
+            serial = serial_evidence(sig, body)
+            for e in node.edges[start:]:
+                e.serial = serial
+        for rel, line, tstr, owner in self.sync_cands:
+            expanded = self._expand_aliases(tstr)
+            if RAW_SYNC_RE.search(expanded):
+                self.graph.sync_decls.append((rel, line, expanded, owner))
         return self.graph
+
+    def _expand_aliases(self, t):
+        """`t` with every alias name replaced by its definition, to a
+        fixed point (bounded, so a self-referential alias cannot loop)."""
+        def sub(m):
+            al = self.aliases.get(m.group(0).split("::")[-1])
+            return al if al is not None else m.group(0)
+        for _ in range(6):
+            new = TYPE_NAME_RE.sub(sub, t)
+            if new == t:
+                break
+            t = new
+        return norm_std(re.sub(r"\s+", "", t))
 
     def _parse_params(self, params):
         table = {}
@@ -808,6 +963,7 @@ class TextFrontend:
         first = tstr.split()[-1].split("<")[0].split("::")[0]
         if first in CONTROL_KEYWORDS and first != "auto":
             return
+        self.sync_cands.append((rel, lineno, tstr, node.name))
         if first == "auto" or tstr == "auto":
             tstr = self._infer_auto(ln, locals_, cur_class)
         locals_[name] = tstr
@@ -998,6 +1154,63 @@ def build_text_graph(root, rel_files):
 # Clang frontend
 # ---------------------------------------------------------------------------
 
+def load_cindex():
+    """Import clang.cindex and make sure libclang actually loads.
+
+    Returns the module or None. Honors SCAP_LIBCLANG (path to libclang.so),
+    then falls back to common versioned sonames.
+    """
+    try:
+        from clang import cindex
+    except ImportError:
+        return None
+    override = os.environ.get("SCAP_LIBCLANG")
+    if override:
+        cindex.Config.set_library_file(override)
+    try:
+        cindex.Index.create()
+        return cindex
+    except Exception:
+        if override:
+            return None
+    candidates = []
+    for ver in range(21, 13, -1):
+        candidates += [
+            f"/usr/lib/llvm-{ver}/lib/libclang.so.1",
+            f"/usr/lib/llvm-{ver}/lib/libclang-{ver}.so.1",
+            f"/usr/lib/x86_64-linux-gnu/libclang-{ver}.so.1",
+        ]
+    candidates.append("libclang.so")
+    for path in candidates:
+        if path.startswith("/") and not os.path.exists(path):
+            continue
+        try:
+            cindex.Config.loaded = False
+            cindex.Config.set_library_file(path)
+            cindex.Index.create()
+            return cindex
+        except Exception:
+            continue
+    return None
+
+
+def parse_tu(cindex, index, path, args):
+    """Parse one translation unit; None (with diagnostics on stderr) when
+    libclang fails or reports a fatal error."""
+    tool = os.path.basename(sys.argv[0])
+    try:
+        tu = index.parse(path, args=args)
+    except cindex.TranslationUnitLoadError as e:
+        print(f"{tool}: failed to parse {path}: {e}", file=sys.stderr)
+        return None
+    fatal = [d for d in tu.diagnostics if d.severity >= d.Fatal]
+    if fatal:
+        for d in fatal:
+            print(f"{tool}: {path}: {d.spelling}", file=sys.stderr)
+        return None
+    return tu
+
+
 class ClangFrontend:
     FUNC_KINDS = None  # filled in __init__ (needs cindex)
 
@@ -1007,9 +1220,40 @@ class ClangFrontend:
         self.root = root
         self.graph = Graph()
         self.marks = {}
+        self._bytes = {}   # abspath -> raw bytes (extents are byte offsets)
         self.FUNC_KINDS = (self.ck.FUNCTION_DECL, self.ck.CXX_METHOD,
                            self.ck.CONSTRUCTOR, self.ck.FUNCTION_TEMPLATE,
                            self.ck.CONVERSION_FUNCTION)
+        self.CLASS_KINDS = (self.ck.CLASS_DECL, self.ck.STRUCT_DECL,
+                            self.ck.UNION_DECL, self.ck.CLASS_TEMPLATE)
+
+    def source(self, cursor, start, end):
+        """Decoded source text of byte range [start, end) of the cursor's
+        file."""
+        path = os.path.abspath(cursor.location.file.name)
+        data = self._bytes.get(path)
+        if data is None:
+            with open(path, "rb") as f:
+                data = self._bytes[path] = f.read()
+        return data[start:end].decode("utf-8", "replace")
+
+    def serial_evidence(self, fn):
+        start, end = fn.extent.start.offset, fn.extent.end.offset
+        body = end
+        for ch in fn.get_children():
+            if ch.kind == self.ck.COMPOUND_STMT:
+                body = ch.extent.start.offset
+        return serial_evidence(self.source(fn, start, body),
+                               self.source(fn, body, end))
+
+    def field_decl_text(self, cursor):
+        """A field's declaration through its terminating ';', annotation
+        macros included on whichever side of the extent clang put them."""
+        start, end = cursor.extent.start.offset, cursor.extent.end.offset
+        tail = self.source(cursor, end, end + 512)
+        semi = tail.find(";")
+        return self.source(cursor, start, end) + \
+            (tail[:semi + 1] if semi >= 0 else "")
 
     def in_scope(self, loc):
         if loc.file is None:
@@ -1053,6 +1297,9 @@ class ClangFrontend:
         ck = self.ck
         rel = self.in_scope(cursor.location)
         next_callee = callee_ref
+        fn_def = None
+        if rel is not None:
+            self._note_decl(cursor, rel, current)
         if cursor.kind in self.FUNC_KINDS and rel is not None:
             hot, cold = self.annotations(cursor)
             qual = self.qualified(cursor)
@@ -1064,6 +1311,7 @@ class ClangFrontend:
                 if cursor.is_definition():
                     current = self.graph.node(qual, rel,
                                               cursor.location.line)
+                    fn_def = cursor
         elif cursor.kind == ck.LAMBDA_EXPR:
             pass  # lambda bodies are charged to the lexical encloser
         if current is not None and rel is not None:
@@ -1084,8 +1332,33 @@ class ClangFrontend:
                             callee_ref.canonical == ref.canonical)
                     if not same and self.in_scope(ref.location) is not None:
                         self.graph.pool.add(self.qualified(ref))
+        start = len(current.edges) if fn_def is not None else 0
         for ch in cursor.get_children():
             self.walk(ch, current, next_callee)
+        if fn_def is not None:
+            serial = self.serial_evidence(fn_def)
+            for e in current.edges[start:]:
+                e.serial = serial
+
+    def _note_decl(self, cursor, rel, current):
+        """Class definitions, fields and raw std sync declarations — the
+        inputs of the concurrency-discipline rules."""
+        ck = self.ck
+        line = cursor.location.line
+        if cursor.kind in self.CLASS_KINDS and cursor.is_definition():
+            self.graph.classes.setdefault(self.qualified(cursor), (rel, line))
+            return
+        if cursor.kind not in (ck.FIELD_DECL, ck.VAR_DECL):
+            return
+        parent = self.qualified(cursor.semantic_parent)
+        if cursor.kind == ck.FIELD_DECL:
+            self.graph.fields.setdefault(parent, {})[cursor.spelling] = \
+                (rel, line, self.field_decl_text(cursor))
+        owner = current.name if current is not None and \
+            cursor.kind == ck.VAR_DECL else parent
+        tstr = norm_std(cursor.type.get_canonical().spelling)
+        if RAW_SYNC_RE.search(tstr):
+            self.graph.sync_decls.append((rel, line, tstr, owner))
 
     def _is_placement_new(self, cursor):
         toks = [t.spelling for t in cursor.get_tokens()]
@@ -1149,8 +1422,8 @@ class ClangFrontend:
 
 
 def compile_args_for(cindex, root, rel):
-    """Arguments for one TU: compile_commands.json when present, else the
-    same defaults scap_analyzer uses."""
+    """Arguments for one TU: compile_commands.json when present, else
+    default C++20 flags with src/ on the include path."""
     db_dir = os.path.join(root, "build")
     if os.path.exists(os.path.join(db_dir, "compile_commands.json")):
         try:
@@ -1177,7 +1450,6 @@ def compile_args_for(cindex, root, rel):
 
 
 def build_clang_graph(cindex, root, rel_files, fixture_mode):
-    import scap_analyzer
     index = cindex.Index.create()
     fe = ClangFrontend(cindex, root)
     for rel in rel_files:
@@ -1191,7 +1463,7 @@ def build_clang_graph(cindex, root, rel_files, fixture_mode):
             args = ["-x", "c++", "-std=c++17", "-nostdinc++"]
         else:
             args = compile_args_for(cindex, root, rel)
-        tu = scap_analyzer.parse_tu(cindex, index, path, args)
+        tu = parse_tu(cindex, index, path, args)
         if tu is None:
             return None
         fe.add_tu(tu)
@@ -1357,6 +1629,14 @@ def analyze_graph(graph, fixture_mode):
         if color.get(r, 0) == 0:
             dfs(r, [r])
 
+    def waived(rel, line, rule):
+        w = waiver_at(rel, line, rule)
+        if w is not None:
+            used.add((rel, w, rule))
+        return w is not None
+
+    findings.extend(discipline_findings(graph, fixture_mode, waived))
+
     # stale-waiver (+ reasonless waivers in fixture mode; repo mode leaves
     # those to scap_lint so each violation has exactly one reporter).
     for rel in sorted(graph.raw_lines):
@@ -1374,6 +1654,65 @@ def analyze_graph(graph, fixture_mode):
                     rel, i + 1, "stale-waiver", [],
                     f"waiver for '{rule}' suppresses nothing — the finding "
                     "it excused is gone; remove the waiver"))
+    return findings
+
+
+def discipline_findings(graph, fixture_mode, waived):
+    """spsc-discipline, mutex-discipline and guard-coverage (DESIGN.md
+    §11). `waived(file, line, rule)` consults (and marks used) waivers."""
+    findings = []
+    seen = set()
+
+    def add(file, line, rule, chain, message):
+        key = (file, line, rule, tuple(chain))
+        if key in seen or waived(file, line, rule):
+            return
+        seen.add(key)
+        findings.append(CgFinding(file, line, rule, chain, message))
+
+    for node in sorted(graph.nodes.values(), key=lambda n: n.name):
+        parts = node.name.split("::")
+        if len(parts) >= 2 and parts[-2] in QUEUE_CLASSES:
+            continue  # the queue implementation is its own serial context
+        for e in node.edges:
+            end = SPSC_ENDS.get("::".join(e.target.split("::")[-2:]))
+            if e.kind != "call" or end is None or e.serial:
+                continue
+            add(e.file, e.line, "spsc-discipline", [node.name, e.target],
+                f"{e.target}() from '{node.name}', which shows no "
+                "serial-domain evidence — annotate it SCAP_REQUIRES(<"
+                f"{end} domain>) or enter the domain with a "
+                "base::SerialGuard in its body")
+
+    for file, line, tstr, owner in graph.sync_decls:
+        if any(owner == w or owner.startswith(w + "::")
+               for w in MUTEX_WRAPPERS):
+            continue
+        raw = RAW_SYNC_RE.search(tstr).group(0)
+        add(file, line, "mutex-discipline", [],
+            f"raw `{raw}` declaration — use the annotated base::Mutex/"
+            "base::MutexLock/base::CondVar (src/base/mutex.hpp) so fields "
+            "can be SCAP_GUARDED_BY it")
+
+    for cls, table in sorted(REQUIRED_GUARDS.items()):
+        where = graph.classes.get(cls)
+        if where is None:
+            if not fixture_mode:
+                add("tools/scap_callgraph.py", 0, "guard-coverage", [],
+                    f"pinned class {cls} not found under src/ — if it was "
+                    "renamed, update REQUIRED_GUARDS")
+            continue
+        fields = graph.fields.get(cls, {})
+        for name, macro in sorted(table.items()):
+            fld = fields.get(name)
+            if fld is None:
+                add(where[0], where[1], "guard-coverage", [],
+                    f"expected guarded field `{name}` not found in {cls} — "
+                    "if it was renamed, update REQUIRED_GUARDS")
+            elif not re.search(rf"\b{macro}\s*\(", fld[2]):
+                add(fld[0], fld[1], "guard-coverage", [],
+                    f"{cls}::{name} must be declared {macro}(...) — see "
+                    "the capability table in DESIGN.md §11")
     return findings
 
 
@@ -1416,8 +1755,7 @@ def main():
 
     cindex = None
     if args.frontend in ("auto", "clang"):
-        import scap_analyzer
-        cindex = scap_analyzer.load_cindex()
+        cindex = load_cindex()
     if args.frontend == "clang" and cindex is None:
         print("scap_callgraph: libclang not available (install "
               "python3-clang + libclang or set SCAP_LIBCLANG; or use "

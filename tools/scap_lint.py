@@ -19,15 +19,14 @@ Waivers: append `// scap-lint: allow(<rule>) <reason>` to the offending
 line (or the line directly above it). Waivers without a reason are
 themselves findings.
 
-The former regex rules heap-hot-path and counter-conservation were
-promoted to tools/scap_analyzer.py, which checks the same invariants on
-the clang AST (rules hot-path-alloc, counter-mirror) and therefore sees
-through typedefs, `auto` and macros that regex cannot; the per-function
-nondeterminism rule retired in turn into tools/scap_taint.py's transitive
-taint rules (taint-wallclock/-rng/-ambient/…), which flag a
-nondeterministic value only where it can reach observable output. This
-file keeps only the rules where line-oriented text is the natural
-representation, plus the helpers and waiver syntax the tools share.
+The former regex rules moved to the whole-program tools: heap-hot-path
+became tools/scap_callgraph.py's transitive hot-alloc (an allocation
+counts where a SCAP_HOT root can reach it, not where a file list says),
+counter-conservation became tools/scap_taint.py's counter-mirror, and
+nondeterminism became the taint-* rules, which flag a nondeterministic
+value only where it can reach observable output. This file keeps only
+the rules where line-oriented text is the natural representation, plus
+the helpers and waiver syntax the tools share.
 
 Usage: scap_lint.py [--root DIR] [--list-rules]
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
@@ -37,30 +36,6 @@ import argparse
 import os
 import re
 import sys
-
-# Kernel hot-path files: everything a packet touches between handle_packet
-# and event emission. Cold-path kernel files (defrag holds fragments across
-# packets, events are queue plumbing) still obey the determinism rules but
-# may use standard containers. Consumed by tools/scap_analyzer.py
-# (hot-path-alloc), which owns the allocation rule since it moved to the AST.
-HOT_PATH_FILES = [
-    "src/kernel/module.hpp",
-    "src/kernel/module.cpp",
-    "src/kernel/flow_table.hpp",
-    "src/kernel/flow_table.cpp",
-    "src/kernel/record_pool.hpp",
-    "src/kernel/record_pool.cpp",
-    "src/kernel/memory.hpp",
-    "src/kernel/memory.cpp",
-    "src/kernel/reassembly.hpp",
-    "src/kernel/reassembly.cpp",
-    "src/kernel/segment_store.hpp",
-    "src/kernel/segment_store.cpp",
-    "src/kernel/ppl.hpp",
-    "src/kernel/ppl.cpp",
-    "src/kernel/stream.hpp",
-]
-
 
 WAIVER_RE = re.compile(r"//\s*scap-lint:\s*allow\(([a-z-]+)\)\s*(.*)")
 
@@ -110,24 +85,15 @@ def read_lines(path):
         return f.read().splitlines()
 
 
-def waiver_line_for(lines, idx, rule):
-    """1-based line number of the waiver covering line idx (0-based) — on
-    the line itself or the line above — or None. The line number feeds
-    stale-waiver auditing: a waiver that never gets looked up this way
-    suppresses nothing."""
-    for j in (idx, idx - 1):
-        if j < 0:
-            continue
-        m = WAIVER_RE.search(lines[j])
-        if m and m.group(1) == rule:
-            return j + 1
-    return None
-
-
 def waivers_for(lines, idx, rule):
     """True if line idx (0-based) or the line above carries a waiver for
     `rule`."""
-    return waiver_line_for(lines, idx, rule) is not None
+    for j in (idx, idx - 1):
+        if j >= 0:
+            m = WAIVER_RE.search(lines[j])
+            if m and m.group(1) == rule:
+                return True
+    return False
 
 
 FIELD_RE = re.compile(
@@ -277,9 +243,9 @@ def main():
         return 2
 
     findings = []
-    # heap-hot-path and counter-conservation moved to tools/scap_analyzer.py
-    # (AST rules hot-path-alloc / counter-mirror), and nondeterminism to
-    # tools/scap_taint.py, so each violation is reported by exactly one tool.
+    # heap-hot-path moved to tools/scap_callgraph.py (hot-alloc), and
+    # counter-conservation and nondeterminism to tools/scap_taint.py, so
+    # each violation is reported by exactly one tool.
     check_api_stats_mirror(root, findings)
     check_trace_coverage(root, findings)
 

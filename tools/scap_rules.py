@@ -6,16 +6,25 @@ their --list-rules output and for stale-waiver ownership (a waiver is only
 "stale" to the tool that owns its rule); the self-tests import it to
 validate fixture expectations (an expectation naming an unknown rule is a
 harness bug, not a silently-never-matched line) and to require fixture
-coverage per rule. Before this table, tools/scap_analyzer.py and
-tests/analyzer/analyzer_selftest.py each hard-wired their own rule lists,
-which could drift apart without any test noticing.
+coverage per rule, so a tool's rule list and its self-test cannot drift
+apart.
 
 Tools
 -----
 lint       tools/scap_lint.py        line-oriented text rules
-analyzer   tools/scap_analyzer.py    per-function libclang AST rules
-callgraph  tools/scap_callgraph.py   whole-program hot-path purity rules
-taint      tools/scap_taint.py       whole-program determinism taint rules
+callgraph  tools/scap_callgraph.py   whole-program hot-path purity and
+                                     concurrency-discipline rules
+taint      tools/scap_taint.py       whole-program determinism taint and
+                                     stats-mirror rules
+
+Retired rules and where their guarantee lives now:
+  hot-path-alloc     per-file allocation ban -> callgraph `hot-alloc`,
+                     which follows the allocation from every SCAP_HOT
+                     root instead of trusting a hand-kept file list
+  switch-exhaustive  enum switches name every enumerator -> the
+                     compiler, via -Wswitch-enum in the root
+                     CMakeLists.txt (ctest switch_exhaustive_compile)
+  nondeterminism     lexical nondeterminism ban -> the taint-* rules
 
 The pseudo-rules `waiver` (a waiver comment without a reason) and
 `stale-waiver` (a waiver that no longer suppresses anything) are emitted
@@ -34,20 +43,6 @@ RULES = [
     Rule("trace-coverage", "lint",
          "every TraceEventType has an emit site and a pretty-printer case"),
 
-    # --- tools/scap_analyzer.py ----------------------------------------------
-    Rule("hot-path-alloc", "analyzer",
-         "no operator new / C heap / unordered_map in hot-path files"),
-    Rule("switch-exhaustive", "analyzer",
-         "switches over watched enums cover every enumerator, no default"),
-    Rule("counter-mirror", "analyzer",
-         "every KernelStats field is referenced, mirrored and dumped"),
-    Rule("mutex-discipline", "analyzer",
-         "no raw std::mutex/lock types outside src/base/mutex.hpp"),
-    Rule("guard-coverage", "analyzer",
-         "the pinned capability table's annotations are present"),
-    Rule("spsc-discipline", "analyzer",
-         "SPSC ring endpoints are called with serial-domain evidence"),
-
     # --- tools/scap_callgraph.py (whole-program purity, DESIGN.md §14) ------
     Rule("hot-alloc", "callgraph",
          "no allocation reachable from a SCAP_HOT root"),
@@ -61,6 +56,14 @@ RULES = [
          "no direct or mutual recursion inside the hot closure"),
     Rule("hot-cold-call", "callgraph",
          "no call from the hot closure into a SCAP_COLD function"),
+
+    # --- tools/scap_callgraph.py (concurrency discipline, DESIGN.md §11) ----
+    Rule("spsc-discipline", "callgraph",
+         "SPSC ring endpoints are called with serial-domain evidence"),
+    Rule("mutex-discipline", "callgraph",
+         "no raw std::mutex/lock/condvar types outside the base wrappers"),
+    Rule("guard-coverage", "callgraph",
+         "the pinned capability table's annotations are present"),
 
     # --- tools/scap_taint.py (whole-program determinism, DESIGN.md §15) -----
     # The per-function `nondeterminism` analyzer rule retired into these:
@@ -81,6 +84,9 @@ RULES = [
     Rule("stats-registry", "taint",
          "every KernelStats field / metrics histogram classified exactly "
          "once in stats_determinism.inc, SCHED rows witness-backed"),
+    Rule("counter-mirror", "taint",
+         "every KernelStats field is counted outside a stats fold, "
+         "mirrored into scap_stats_t and dumped by chaos_run"),
 ]
 
 # Pseudo-rules every tool may emit about waivers of its own rules.

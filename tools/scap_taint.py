@@ -52,10 +52,17 @@ source of truth both normalization consumers derive from
 (tests/scap/shard_conservation_test.cpp normalized(), tools/chaos_run.cpp
 reproducible-report filtering).
 
+The `counter-mirror` rule reuses the same KernelStats parse: every field
+must be counted by kernel code (a write that only copies or sums it from
+another stats object, like the shard-sum accumulate(), does not count),
+mirrored into scap_stats_t by src/scap/capi.cpp, and dumped by
+tools/chaos_run.cpp.
+
 Fixture mode (--fixtures DIR): each .cpp is its own program. A fixture
 containing `struct KernelStats` with a same-stem sibling `.inc` exercises
 the registry checks; functions inside a namespace named `exporter` stand
-in for the exporter files. Exit 77 only for an explicit `--frontend clang`
+in for the exporter files, and namespaces `capi` / `chaos_run` for the
+counter-mirror targets (a fixture without `capi` skips that rule). Exit 77 only for an explicit `--frontend clang`
 without libclang; the text frontend always runs.
 """
 
@@ -74,8 +81,7 @@ from scap_callgraph import CgFinding, chain_str, strip_code
 
 EXIT_SKIP = 77
 
-RULES = ["taint-wallclock", "taint-rng", "taint-ambient",
-         "taint-addr-order", "taint-sched", "stats-registry"]
+RULES = scap_rules.rules_for("taint")
 
 RULE_WHAT = {
     "taint-wallclock": "wall-clock time",
@@ -86,6 +92,13 @@ RULE_WHAT = {
 }
 
 EXPORTER_FILES = ("src/trace/export.cpp", "src/export/ipfix.cpp")
+
+# counter-mirror: where a KernelStats field must be counted, mirrored and
+# dumped. Fixture mode stands in namespaces for the two files.
+COUNT_DIR = "src/kernel/"
+MIRROR_FILE, MIRROR_NS = "src/scap/capi.cpp", "capi"
+DUMP_FILE, DUMP_NS = "tools/chaos_run.cpp", "chaos_run"
+RECEIVER = r"(\w+|\])\s*(?:\.|->)\s*"   # immediate receiver of a member
 
 # ---------------------------------------------------------------------------
 # Source detectors (applied to comment/string/preprocessor-stripped lines)
@@ -177,6 +190,8 @@ def stats_write_res(scalars, arrays):
         alt = "|".join(sorted(arrays))
         res.append(re.compile(
             rf"(?:\w|\)|\])\s*(?:\.|->)\s*({alt})\s*\[[^\]]*\]\s*{WRITE_OPS}"))
+        res.append(re.compile(
+            rf"(?:\+\+|--)\s*[\w.\[\]>-]*?(?:\.|->)\s*({alt})\s*\["))
     return res
 
 
@@ -573,6 +588,18 @@ def analyze_taint(graph, fixture_mode, root):
                         f"registry row '{name}' matches no MetricsRegistry "
                         "histogram (stale)"))
 
+    # -- counter-mirror ---------------------------------------------------
+    def waived(rel, line, rule):
+        w = waiver_at(rel, line, rule)
+        if w is not None:
+            used.add((rel, w, rule))
+        return w is not None
+
+    if stats_fields is not None:
+        findings.extend(counter_mirror_findings(
+            stats_file, stats_fields, stripped, write_res, nodes, enclosing,
+            fixture_mode, root, waived))
+
     # -- stale-waiver audit (+ reasonless waivers in fixture mode) ----------
     for rel in sorted(graph.raw_lines):
         for i, ln in enumerate(graph.raw_lines[rel]):
@@ -589,6 +616,74 @@ def analyze_taint(graph, fixture_mode, root):
                     rel, i + 1, "stale-waiver", [],
                     f"waiver for '{rule}' suppresses nothing — the finding "
                     "it excused is gone; remove the waiver"))
+    return findings
+
+
+def counter_mirror_findings(stats_file, stats_fields, stripped, write_res,
+                            nodes, enclosing, fixture_mode, root, waived):
+    """One finding per KernelStats field that is not counted, mirrored
+    and dumped (module docstring). A counter that misses any of the three
+    silently vanishes from the reports that matter. In fixture mode every
+    function counts as kernel code."""
+    if fixture_mode and not any(
+            MIRROR_NS in n.split("::") for n in nodes):
+        return []
+
+    def in_ns(rel, line, ns):
+        node = enclosing(rel, line)
+        return node is not None and ns in node.split("::")
+
+    def is_fold(ln, m):
+        """The write `m` also reads its field through another receiver
+        on the same line: `into.f += s.f`, `out.f = k.f`."""
+        field = m.group(1)
+        own = re.search(RECEIVER + "$", ln[:m.start(1)])
+        own = own.group(1) if own else None
+        for r in re.finditer(RECEIVER + rf"{field}\b", ln):
+            if not r.start() <= m.start(1) < r.end() and r.group(1) != own:
+                return True
+        return False
+
+    counted = set()
+    for rel in sorted(stripped):
+        if not fixture_mode and not rel.startswith(COUNT_DIR):
+            continue
+        for ln in stripped[rel]:
+            for rx in write_res:
+                for m in rx.finditer(ln):
+                    if not is_fold(ln, m):
+                        counted.add(m.group(1))
+
+    def member_refs(rel, ns=None):
+        refs = set()
+        for i, ln in enumerate(stripped.get(rel, ()), start=1):
+            if ns is None or in_ns(rel, i, ns):
+                refs.update(re.findall(r"(?:\.|->)\s*(\w+)", ln))
+        return refs
+
+    if fixture_mode:
+        mirrored = member_refs(stats_file, MIRROR_NS)
+        dumped = member_refs(stats_file, DUMP_NS)
+    else:
+        mirrored = member_refs(MIRROR_FILE)
+        dumped = {name for name in stats_fields
+                  if scap_lint.word_in_file(root, DUMP_FILE, name)}
+
+    findings = []
+    for name, (line, _) in sorted(stats_fields.items()):
+        gaps = []
+        if name not in counted:
+            gaps.append("is never counted: every write copies or sums it "
+                        "from another stats object — dead counter")
+        if name not in mirrored:
+            gaps.append(f"is not mirrored into scap_stats_t in {MIRROR_FILE}")
+        if name not in dumped:
+            gaps.append(f"is not dumped by {DUMP_FILE} — invisible to the "
+                        "reproducibility gate")
+        if gaps and not waived(stats_file, line, "counter-mirror"):
+            findings.append(CgFinding(
+                stats_file, line, "counter-mirror", [],
+                f"KernelStats::{name} " + "; ".join(gaps)))
     return findings
 
 
@@ -615,8 +710,7 @@ def main():
 
     cindex = None
     if args.frontend in ("auto", "clang"):
-        import scap_analyzer
-        cindex = scap_analyzer.load_cindex()
+        cindex = scap_callgraph.load_cindex()
     if args.frontend == "clang" and cindex is None:
         print("scap_taint: libclang not available (install python3-clang + "
               "libclang or set SCAP_LIBCLANG; or use --frontend text); "
