@@ -47,6 +47,43 @@ void BM_ToeplitzHash(benchmark::State& state) {
 }
 BENCHMARK(BM_ToeplitzHash);
 
+// The per-packet RSS steer as the NIC and the shard producer run it:
+// endpoint canonicalization plus the table-driven Toeplitz hash. The tuple
+// mix is client/server traffic: clients in 10.0/16 on ephemeral ports,
+// 64 servers on a few service ports, both directions of every flow.
+void BM_RssQueueFor(benchmark::State& state) {
+  const nic::RssEngine rss(symmetric_rss_key(), 8);
+  constexpr std::uint16_t kServicePorts[] = {80, 443, 53, 22, 25, 8080};
+  std::vector<FiveTuple> tuples;
+  std::uint64_t z = 0x5ca9;
+  for (int i = 0; i < 4096; ++i) {
+    const std::uint64_t r = mix64(++z);
+    FiveTuple t{0x0a000000u | static_cast<std::uint32_t>(r & 0xffff),
+                0xc0a80000u | static_cast<std::uint32_t>((r >> 16) & 0x3f),
+                static_cast<std::uint16_t>(32768 + (r >> 24) % 28232),
+                kServicePorts[(r >> 40) % 6],
+                (r >> 48) % 8 == 0 ? kProtoUdp : kProtoTcp};
+    tuples.push_back((r >> 56) & 1 ? t.reversed() : t);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rss.queue_for(tuples[i]));
+    i = (i + 1) & 4095;
+  }
+}
+BENCHMARK(BM_RssQueueFor);
+
+// The per-key table build an RssEngine pays once, at construction.
+void BM_ToeplitzTableBuild(benchmark::State& state) {
+  RssKey key = symmetric_rss_key();
+  for (auto _ : state) {
+    ToeplitzTable table(key);
+    benchmark::DoNotOptimize(table);
+    key[0]++;
+  }
+}
+BENCHMARK(BM_ToeplitzTableBuild);
+
 void BM_TcpReassemblyInOrder(benchmark::State& state) {
   const std::size_t seg = static_cast<std::size_t>(state.range(0));
   std::vector<std::uint8_t> payload(seg, 0x62);

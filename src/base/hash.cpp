@@ -52,4 +52,30 @@ std::uint32_t toeplitz_hash(const RssKey& key, std::span<const std::uint8_t> inp
   return result;
 }
 
+ToeplitzTable::ToeplitzTable(const RssKey& key) {
+  for (std::size_t pos = 0; pos < nibble_.size(); ++pos) {
+    // Input bit b (0 = most significant bit of byte 0) selects key bits
+    // [b, b + 32). Load the 64 key bits from this nibble's byte onwards and
+    // slide: every window of the nibble's four bits fits in them.
+    const std::size_t bit = pos * 4;
+    std::uint64_t bits = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      bits = (bits << 8) | key[bit / 8 + i];
+    }
+    const std::size_t skew = bit % 8;
+    auto& table = nibble_[pos];
+    // Single-bit entries are the windows themselves (nibble MSB first);
+    // every other entry is the XOR of its lowest set bit's entry and the
+    // entry without that bit, both already built.
+    for (std::size_t b = 0; b < 4; ++b) {
+      table[std::size_t{8} >> b] =
+          static_cast<std::uint32_t>(bits >> (32 - skew - b));
+    }
+    for (std::size_t v = 3; v < 16; ++v) {
+      const std::size_t low = v & (~v + 1);
+      if (low != v) table[v] = table[v ^ low] ^ table[low];
+    }
+  }
+}
+
 }  // namespace scap

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "kernel/reassembly.hpp"
@@ -48,31 +47,52 @@ struct Event {
 /// shared chunk buffer — when workers fall behind, chunk memory stays
 /// allocated and PPL starts dropping packets, which is the paper's overload
 /// behaviour.
+///
+/// A power-of-two ring of reused Event slots that doubles when full: once
+/// it has grown to the largest backlog, push and pop move events in and out
+/// of existing slots and never touch the allocator. (An Event is ~300 B, so
+/// a std::deque would hold one per node and malloc on every push.)
 class EventQueue {
  public:
   void push(Event ev) {
-    // scap-lint: allow(hot-alloc) deque growth is amortized and reaches steady state once consumers keep up; ROADMAP item 2 worklist (DESIGN.md §14 inventory)
-    queue_.push_back(std::move(ev));
-    if (queue_.size() > high_water_) high_water_ = queue_.size();
-    ++pushed_;
+    if (size() == slots_.size()) grow();
+    slots_[tail_ & mask_] = std::move(ev);
+    ++tail_;
   }
 
-  bool empty() const { return queue_.empty(); }
-  std::size_t size() const { return queue_.size(); }
+  bool empty() const { return head_ == tail_; }
+  std::size_t size() const { return static_cast<std::size_t>(tail_ - head_); }
 
   Event pop() {
-    Event ev = std::move(queue_.front());
-    queue_.pop_front();
+    Event ev = std::move(slots_[head_ & mask_]);
+    ++head_;
     return ev;
   }
 
-  std::uint64_t pushed() const { return pushed_; }
-  std::size_t high_water() const { return high_water_; }
-
  private:
-  std::deque<Event> queue_;
-  std::uint64_t pushed_ = 0;
-  std::size_t high_water_ = 0;
+  static constexpr std::size_t kInitialSlots = 16;
+
+  /// Double the ring (first push: allocate it), unwrapping the queued
+  /// events to the front of the new slot array. The one allocating path:
+  /// cold, entered only when the backlog outgrows every earlier one.
+  void grow() {
+    std::vector<Event> bigger;
+    // scap-lint: allow(hot-alloc) ring doubling, amortized: reached only when the backlog outgrows every earlier one, never at steady state (DESIGN.md §14 inventory)
+    bigger.resize(slots_.empty() ? kInitialSlots : slots_.size() * 2);
+    const std::size_t n = size();
+    for (std::size_t i = 0; i < n; ++i) {
+      bigger[i] = std::move(slots_[(head_ + i) & mask_]);
+    }
+    slots_.swap(bigger);
+    mask_ = slots_.size() - 1;
+    head_ = 0;
+    tail_ = n;
+  }
+
+  std::vector<Event> slots_;
+  std::size_t mask_ = 0;
+  std::uint64_t head_ = 0;  // next slot to pop (monotonic, masked on use)
+  std::uint64_t tail_ = 0;  // next slot to fill
 };
 
 }  // namespace scap::kernel

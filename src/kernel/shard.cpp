@@ -19,6 +19,22 @@ std::string law_violation(const char* law, std::uint64_t lhs,
          std::to_string(rhs);
 }
 
+/// The seq_cst fence of the park/publish pairing (DESIGN.md §12). GCC's
+/// ThreadSanitizer does not model standalone fences and warns (-Wtsan).
+/// The fence still executes, and no plain data relies on it (ring slots are
+/// ordered by the ring's acquire/release indices), so the warning is
+/// silenced for this one helper.
+#if defined(__SANITIZE_THREAD__) && !defined(__clang__) && __GNUC__ >= 12
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wtsan"
+#endif
+void handshake_fence() {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+}
+#if defined(__SANITIZE_THREAD__) && !defined(__clang__) && __GNUC__ >= 12
+#pragma GCC diagnostic pop
+#endif
+
 /// Derive one shard's config from the capture-wide config: private slabs
 /// sized at an even split, single event queue, no cross-shard steering.
 KernelConfig shard_config(const KernelConfig& base, int num_shards) {
@@ -124,6 +140,7 @@ KernelShards::KernelShards(const KernelConfig& config, int num_shards,
   const KernelConfig cfg = shard_config(config, n);
   shards_.reserve(static_cast<std::size_t>(n));
   pushed_.assign(static_cast<std::size_t>(n), 0);
+  unpublished_.assign(static_cast<std::size_t>(n), Unpublished{});
   watchdog_.assign(static_cast<std::size_t>(n), WatchdogState{});
   // Ring admission mirrors the kernel's PPL ladder, so it needs the same
   // priority inputs the per-shard kernels use.
@@ -162,15 +179,46 @@ void KernelShards::wake(Shard& s) {
 }
 
 void KernelShards::submit_to(int shard, Packet pkt) {
+  push(shard, std::move(pkt));
+  publish_shard(idx(shard));
+}
+
+void KernelShards::push(int shard, Packet pkt) {
   ShardItem item;
   item.kind = ShardItem::Kind::kPacket;
   item.pkt = std::move(pkt);
   push_item(idx(shard), std::move(item));
 }
 
+void KernelShards::publish() {
+  for (std::size_t i = 0; i < shards_.size(); ++i) publish_shard(i);
+}
+
+void KernelShards::publish_shard(std::size_t shard) {
+  Unpublished& u = unpublished_[shard];
+  if (u.items == 0) return;
+  Shard& s = *shards_[shard];
+  // One in-flight update per batch: submitted_pkts now covers every packet
+  // pushed so far. The worker may already have consumed some of them, so
+  // consumed_pkts <= submitted_pkts holds wherever the producer is between
+  // batches — the only points it is read (DESIGN.md §12).
+  if (u.pkts > 0) s.submitted_pkts.fetch_add(u.pkts, std::memory_order_relaxed);
+  u = Unpublished{};
+  // Store-buffer (Dekker) pairing with worker_main's park. Producer: ring
+  // tail store (in push_item), fence, `sleeping` load. Worker: `sleeping`
+  // store, fence, ring tail load. With a seq_cst fence on each side at
+  // least one load sees the other side's store: either the worker finds
+  // the ring non-empty and does not park, or this load sees it asleep and
+  // wakes it. No wakeup can be lost, whatever the timing.
+  handshake_fence();
+  if (s.sleeping.load(std::memory_order_relaxed)) wake(s);
+}
+
 void KernelShards::tick_all(Timestamp now) {
   // The tick cadence doubles as the watchdog heartbeat check: a shard that
   // stopped consuming is detected here, before more work is queued on it.
+  // Publish first, so every shard it judges has been woken for its work.
+  publish();
   check_watchdog(now);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     ShardItem item;
@@ -178,6 +226,7 @@ void KernelShards::tick_all(Timestamp now) {
     item.ts = now;
     push_item(i, std::move(item));
   }
+  publish();
 }
 
 int KernelShards::packet_priority(const Packet& pkt) const {
@@ -364,8 +413,9 @@ void KernelShards::push_item(std::size_t shard, ShardItem item) {
     }
   }
   ++pushed_[shard];
-  if (is_packet) s.submitted_pkts.fetch_add(1, std::memory_order_relaxed);
-  if (s.sleeping.load(std::memory_order_relaxed)) wake(s);
+  Unpublished& u = unpublished_[shard];
+  ++u.items;
+  if (is_packet) ++u.pkts;
 }
 
 void KernelShards::start(DrainFn drain) {
@@ -380,6 +430,7 @@ void KernelShards::start(DrainFn drain) {
 }
 
 void KernelShards::flush() {
+  publish();
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = *shards_[i];
     if (workers_.empty()) {
@@ -516,6 +567,10 @@ void KernelShards::worker_main(std::stop_token st, int shard) {
       if (st.stop_requested()) break;  // ring drained + stop => done
       base::MutexLock lock(s.wake_mu);
       s.sleeping.store(true, std::memory_order_relaxed);
+      // Pairs with publish_shard()'s fence: if the wait predicate below
+      // still reads an empty ring, the producer's `sleeping` load after
+      // its next push is ordered after this store and wakes us.
+      handshake_fence();
       s.wake_cv.wait(lock, st, [&s] { return !s.ring.empty_approx(); });
       s.sleeping.store(false, std::memory_order_relaxed);
       continue;

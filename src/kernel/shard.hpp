@@ -67,10 +67,11 @@ struct ShardItem {
 
 /// N per-core ScapKernel instances behind SPSC ingest rings.
 ///
-/// Thread roles: exactly one producer thread drives submit()/tick_all()/
-/// flush()/service_fdir() (annotated SCAP_REQUIRES(producer())); start()
-/// spawns one worker thread per shard; stats() may be called from any
-/// thread, including event handlers running on workers.
+/// Thread roles: exactly one producer thread drives submit()/push()/
+/// publish()/tick_all()/flush()/service_fdir() (annotated
+/// SCAP_REQUIRES(producer())); start() spawns one worker thread per shard;
+/// stats() may be called from any thread, including event handlers running
+/// on workers.
 class KernelShards {
  public:
   struct Options {
@@ -157,25 +158,38 @@ class KernelShards {
   /// Symmetric-RSS shard for this packet (both flow directions agree).
   int shard_for(const Packet& pkt) const { return rss_.queue_for(pkt); }
 
-  /// Steer the packet to its flow's shard. With admission disabled
-  /// (ring_high_watermark == 0) a full ring backpressures the producer and
-  /// no packet is ever lost to the handoff; with admission enabled the
-  /// producer sheds by PPL priority instead of blocking, and the shed is
-  /// counted (ring_shed_*) so packet conservation stays exact.
+  /// Hand one packet to a shard: push(), then publish that shard. The
+  /// one-packet case of the batched hand-off below.
   SCAP_HOT void submit(Packet pkt) SCAP_REQUIRES(producer_) {
     submit_to(shard_for(pkt), std::move(pkt));
   }
   SCAP_HOT void submit_to(int shard, Packet pkt) SCAP_REQUIRES(producer_);
 
+  /// Batched hand-off, first half: push the packet onto the shard's ring.
+  /// With admission disabled (ring_high_watermark == 0) a full ring
+  /// backpressures the producer and no packet is ever lost to the handoff;
+  /// with admission enabled the producer sheds by PPL priority instead of
+  /// blocking, and the shed is counted (ring_shed_*) so packet conservation
+  /// stays exact. A running worker may pop the packet at once, but a parked
+  /// one is not woken and submitted_pkts does not count it until publish().
+  SCAP_HOT void push(int shard, Packet pkt) SCAP_REQUIRES(producer_);
+
+  /// Batched hand-off, second half: for every shard pushed to since the
+  /// last publish, one submitted_pkts update and one `sleeping` check (and
+  /// wake) behind a seq_cst fence that pairs with the worker's park
+  /// (DESIGN.md §12). Call once per producer batch.
+  SCAP_HOT void publish() SCAP_REQUIRES(producer_);
+
   /// Push an in-band maintenance marker at simulated time `now` onto every
   /// shard. Call at a fixed cadence (and before submitting packets with
   /// timestamps >= now) to keep expiry deterministic across shard counts.
   /// This is also the watchdog heartbeat check: shards that stopped
-  /// consuming are detected here (Options::stall_timeout).
+  /// consuming are detected here (Options::stall_timeout). Publishes the
+  /// pending pushes before the check and the markers after it.
   void tick_all(Timestamp now) SCAP_REQUIRES(producer_);
 
-  /// Block until every submitted item has been fully processed (rings
-  /// empty and the in-flight worker batches retired).
+  /// Publish, then block until every pushed item has been fully processed
+  /// (rings empty and the in-flight worker batches retired).
   SCAP_COLD void flush() SCAP_REQUIRES(producer_);
 
   /// Apply queued FDIR commands to the producer-owned NIC and service
@@ -250,8 +264,9 @@ class KernelShards {
     trace::MetricsRegistry snap_metrics SCAP_GUARDED_BY(snap_mu);
 
     /// Worker parking: the worker only sleeps on an empty ring; the
-    /// producer takes wake_mu solely to publish the wakeup (never on the
-    /// fast path while the worker is awake).
+    /// producer takes wake_mu solely to deliver the wakeup (never on the
+    /// fast path while the worker is awake). `sleeping` is read once per
+    /// publish, behind the fence that pairs with the worker's park.
     base::Mutex wake_mu;
     base::CondVar wake_cv;
     std::atomic<bool> sleeping{false};
@@ -264,7 +279,7 @@ class KernelShards {
     /// In-flight packet accounting + admission counters. Single writer
     /// each (producer or consumer as noted), relaxed tallies so stats()
     /// and invariant checks can fold them in from any thread.
-    std::atomic<std::uint64_t> submitted_pkts{0};   // producer: ring pushes
+    std::atomic<std::uint64_t> submitted_pkts{0};   // producer: published
     std::atomic<std::uint64_t> consumed_pkts{0};    // consumer: kernel entries
     std::atomic<std::uint64_t> shed_pkts{0};        // producer: admission shed
     std::atomic<std::uint64_t> shed_bytes{0};       // producer: wire bytes
@@ -295,6 +310,7 @@ class KernelShards {
                               std::vector<Packet>& scratch);
   SCAP_HOT void push_item(std::size_t shard, ShardItem item)
       SCAP_REQUIRES(producer_);
+  SCAP_HOT void publish_shard(std::size_t shard) SCAP_REQUIRES(producer_);
   /// Watermark-ladder admission for a data packet at ring occupancy `occ`.
   /// Returns true when the packet must be shed (does not count it).
   bool admission_sheds(std::size_t shard, const Packet& pkt, std::size_t occ)
@@ -338,8 +354,17 @@ class KernelShards {
   DrainFn drain_;
   std::vector<std::jthread> workers_;
   mutable base::SerialDomain producer_;
-  /// Producer-local push counts per shard (single producer, no atomics).
+  /// Producer-local push counts per shard (single producer, no atomics):
+  /// every item on the ring, published or not.
   std::vector<std::uint64_t> pushed_ SCAP_GUARDED_BY(producer_);
+  /// Per shard, what push() added since the last publish(): items of any
+  /// kind, and the packets among them that submitted_pkts does not count
+  /// yet.
+  struct Unpublished {
+    std::uint64_t items = 0;
+    std::uint64_t pkts = 0;
+  };
+  std::vector<Unpublished> unpublished_ SCAP_GUARDED_BY(producer_);
   bool stopped_ SCAP_GUARDED_BY(producer_) = false;
 
   /// Per-shard watchdog heartbeats + admission hysteresis (producer-only).

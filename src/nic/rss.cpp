@@ -17,20 +17,10 @@ int RssEngine::queue_for(const FiveTuple& tuple) const {
     lo_port = tuple.dst_port;
     hi_port = tuple.src_port;
   }
-  std::uint8_t input[12];
-  input[0] = static_cast<std::uint8_t>(lo_ip >> 24);
-  input[1] = static_cast<std::uint8_t>(lo_ip >> 16);
-  input[2] = static_cast<std::uint8_t>(lo_ip >> 8);
-  input[3] = static_cast<std::uint8_t>(lo_ip);
-  input[4] = static_cast<std::uint8_t>(hi_ip >> 24);
-  input[5] = static_cast<std::uint8_t>(hi_ip >> 16);
-  input[6] = static_cast<std::uint8_t>(hi_ip >> 8);
-  input[7] = static_cast<std::uint8_t>(hi_ip);
-  input[8] = static_cast<std::uint8_t>(lo_port >> 8);
-  input[9] = static_cast<std::uint8_t>(lo_port);
-  input[10] = static_cast<std::uint8_t>(hi_port >> 8);
-  input[11] = static_cast<std::uint8_t>(hi_port);
-  const std::uint32_t hash = toeplitz_hash(key_, input);
+  // Toeplitz input: both addresses, then both ports, big-endian.
+  const std::uint32_t ports = (static_cast<std::uint32_t>(lo_port) << 16) |
+                              hi_port;
+  const std::uint32_t hash = table_.hash(lo_ip, hi_ip, ports);
   return static_cast<int>(hash % static_cast<std::uint32_t>(num_queues_));
 }
 

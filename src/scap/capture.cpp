@@ -483,13 +483,15 @@ kernel::PacketOutcome Capture::inject_batch(std::span<const Packet> pkts) {
                 : rx.queue);
       }
     }
-    // Submit in arrival order (ticks interleave at the exact timestamp
-    // boundaries); per-shard batching happens on the ring's consumer side.
+    // Push in arrival order (ticks interleave at the exact timestamp
+    // boundaries), then publish once: one in-flight update and at most
+    // one wake per shard the batch touched.
     for (std::size_t i = 0; i < pkts.size(); ++i) {
       if (rx_queues_[i] < 0) continue;
       advance_ticks(pkts[i].timestamp());
-      shards_->submit_to(rx_queues_[i], pkts[i]);
+      shards_->push(rx_queues_[i], pkts[i]);
     }
+    shards_->publish();
     return total;  // async: outcome lands in stats()
   }
   assert_serialized();

@@ -30,6 +30,8 @@ class KernelShards {
   };
   class SCAP_CAPABILITY("serial domain") SerialDomain {} producer_;
   unsigned long pushed_ = 0;  // expect-chain: guard-coverage: -
+  struct Unpublished {};
+  Unpublished unpublished_;  // expect-chain: guard-coverage: -
   bool stopped_ = false;  // expect-chain: guard-coverage: -
   struct WatchdogState {};
   WatchdogState watchdog_;  // expect-chain: guard-coverage: -

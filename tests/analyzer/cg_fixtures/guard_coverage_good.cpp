@@ -28,6 +28,8 @@ class KernelShards {
   };
   class SCAP_CAPABILITY("serial domain") SerialDomain {} producer_;
   unsigned long pushed_ SCAP_GUARDED_BY(producer_) = 0;
+  struct Unpublished {};
+  Unpublished unpublished_ SCAP_GUARDED_BY(producer_);
   bool stopped_ SCAP_GUARDED_BY(producer_) = false;
   struct WatchdogState {};
   WatchdogState watchdog_ SCAP_GUARDED_BY(producer_);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
 
 namespace scap {
 namespace {
@@ -98,6 +99,46 @@ TEST(Toeplitz, SpreadsFlowsAcrossQueues) {
   for (int c : counts) {
     EXPECT_GT(c, 4000 / 8 / 2) << "queue badly underloaded";
     EXPECT_LT(c, 4000 / 8 * 2) << "queue badly overloaded";
+  }
+}
+
+// The 12-byte input as the three big-endian words ToeplitzTable::hash takes.
+std::uint32_t be_word(const std::uint8_t* b) {
+  return (static_cast<std::uint32_t>(b[0]) << 24) |
+         (static_cast<std::uint32_t>(b[1]) << 16) |
+         (static_cast<std::uint32_t>(b[2]) << 8) | b[3];
+}
+
+std::uint32_t table_hash(const ToeplitzTable& table, const std::uint8_t* in) {
+  return table.hash(be_word(in), be_word(in + 4), be_word(in + 8));
+}
+
+TEST(ToeplitzTable, MicrosoftTestVectors) {
+  const ToeplitzTable table(default_rss_key());
+  // The same published vectors as Toeplitz.MicrosoftTestVectors, in input
+  // order: first address, second address, first port, second port.
+  EXPECT_EQ(table.hash(0x420995bb, 0xa18e6450, (2794u << 16) | 1766u),
+            0x51ccc178u);
+  EXPECT_EQ(table.hash(0xc75c6f02, 0x41458c53, (14230u << 16) | 4739u),
+            0xc626b0eau);
+}
+
+// The table path is bit-identical to the bit-serial reference on 100k
+// seeded random inputs per key: the symmetric key RSS runs with,
+// Microsoft's default key, and a random key.
+TEST(ToeplitzTable, MatchesBitSerialOnRandomInputs) {
+  std::mt19937 rng(0x7eb1u);
+  RssKey random_key;
+  for (std::uint8_t& b : random_key) b = static_cast<std::uint8_t>(rng());
+  for (const RssKey& key :
+       {symmetric_rss_key(), default_rss_key(), random_key}) {
+    const ToeplitzTable table(key);
+    std::uint8_t input[ToeplitzTable::kInputBytes];
+    for (int i = 0; i < 100000; ++i) {
+      for (std::uint8_t& b : input) b = static_cast<std::uint8_t>(rng());
+      ASSERT_EQ(table_hash(table, input), toeplitz_hash(key, input))
+          << "input " << i;
+    }
   }
 }
 

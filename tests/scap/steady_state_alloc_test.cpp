@@ -3,8 +3,8 @@
 // `operator new` is *reachable* from the SCAP_HOT roots outside waivered
 // amortized sites; this test replaces the global allocator with counting
 // hooks and shows those amortized sites actually reach zero: once the flow
-// table and record pool cover the working set, per-packet lookup work
-// performs literally no allocations.
+// table, record pool and event queue cover the working set, per-packet
+// lookup work and event emission perform literally no allocations.
 //
 // The counting-hook pattern (and the -Wmismatched-new-delete pragma it
 // needs under GCC) follows bench/throughput.cpp.
@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "kernel/events.hpp"
 #include "kernel/flow_table.hpp"
 #include "kernel/record_pool.hpp"
 
@@ -146,6 +147,80 @@ TEST(SteadyStateAlloc, RecordPoolRecycleIsAllocFree) {
   EXPECT_EQ(after - before, 0u)
       << "warm record-pool churn allocated " << (after - before)
       << " time(s)";
+}
+
+// Event emission and drain on a warm queue: EventQueue reuses its ring
+// slots, so once it has grown past the backlog a create/data/terminate
+// round moves events in and out of existing slots without allocating. The
+// data event's chunk buffers travel with the event and come back out of
+// the drain, so the round reuses them too.
+TEST(SteadyStateAlloc, EventQueueRoundIsAllocFree) {
+  EventQueue q;
+  Chunk chunk;
+  chunk.data.resize(4096, 0x5a);
+  chunk.packets.resize(4);
+  std::uint64_t drained = 0;
+  auto round = [&](StreamId id) {
+    Event created;
+    created.type = EventType::kCreated;
+    created.stream.id = id;
+    q.push(std::move(created));
+    Event data;
+    data.type = EventType::kData;
+    data.stream.id = id;
+    data.chunk = std::move(chunk);
+    q.push(std::move(data));
+    Event terminated;
+    terminated.type = EventType::kTerminated;
+    terminated.stream.id = id;
+    q.push(std::move(terminated));
+    while (!q.empty()) {
+      Event ev = q.pop();
+      if (ev.type == EventType::kData) chunk = std::move(ev.chunk);
+      ++drained;
+    }
+  };
+
+  round(1);  // warm: the queue allocates its slot ring on first push
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (StreamId id = 2; id < 1002; ++id) round(id);
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(drained, 3u * 1001u);
+  EXPECT_EQ(chunk.data.size(), 4096u);
+  EXPECT_EQ(after - before, 0u)
+      << "warm event emission + drain allocated " << (after - before)
+      << " time(s)";
+}
+
+// A backlog past the slot count grows the ring by doubling, in FIFO order
+// across the wrap point; the grown ring then serves the same backlog with
+// no further allocation.
+TEST(SteadyStateAlloc, EventQueueGrowsOnceThenReuses) {
+  EventQueue q;
+  StreamId next = 0;
+  StreamId expect = 0;
+  // Offset head and tail first so the growth below unwraps a wrapped ring.
+  for (int i = 0; i < 5; ++i) {
+    Event ev;
+    ev.stream.id = next++;
+    q.push(std::move(ev));
+    EXPECT_EQ(q.pop().stream.id, expect++);
+  }
+  auto burst = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      Event ev;
+      ev.stream.id = next++;
+      q.push(std::move(ev));
+    }
+    while (!q.empty()) ASSERT_EQ(q.pop().stream.id, expect++);
+  };
+  burst(100);
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int r = 0; r < 100; ++r) burst(100);
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(expect, 5u + 101u * 100u);
 }
 
 }  // namespace

@@ -209,6 +209,8 @@ REQUIRED_GUARDS = {
     },
     "kernel::KernelShards": {
         "pushed_": "SCAP_GUARDED_BY",
+        # Pushes not yet published (DESIGN.md §12 push/publish hand-off).
+        "unpublished_": "SCAP_GUARDED_BY",
         "stopped_": "SCAP_GUARDED_BY",
         # Watchdog heartbeats + admission hysteresis are producer-private
         # state, pinned to the producer serial domain like the push counts.
