@@ -89,15 +89,17 @@ void BM_TcpReassemblyInOrder(benchmark::State& state) {
   std::vector<std::uint8_t> payload(seg, 0x62);
   kernel::StreamParams params;
   params.chunk_size = 16 * 1024;
+  std::vector<kernel::Chunk> completed;
   for (auto _ : state) {
     state.PauseTiming();
     kernel::TcpReassembler r(params, false);
     r.on_syn(0);
+    completed.clear();
     state.ResumeTiming();
     std::uint32_t s = 1;
     for (int i = 0; i < 64; ++i) {
       kernel::SegmentMeta meta;
-      auto res = r.on_data(s, payload, meta);
+      auto res = r.on_data(s, payload, meta, completed);
       benchmark::DoNotOptimize(res.accepted_bytes);
       s += static_cast<std::uint32_t>(seg);
     }

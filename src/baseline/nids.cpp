@@ -16,11 +16,8 @@ kernel::StreamParams NidsEngine::stream_params() const {
   return p;
 }
 
-void NidsEngine::deliver(Connection& conn, HalfStream& half,
-                         const FiveTuple& tuple,
-                         kernel::TcpReassembler::Result&& result) {
-  (void)conn;
-  for (const auto& chunk : result.completed) {
+void NidsEngine::deliver(HalfStream& half, const FiveTuple& tuple) {
+  for (const auto& chunk : chunks_) {
     stats_.bytes_delivered += chunk.data.size();
     if (!half.delivered_any && !chunk.data.empty()) {
       half.delivered_any = true;
@@ -30,6 +27,7 @@ void NidsEngine::deliver(Connection& conn, HalfStream& half,
       on_chunk_(tuple, std::span<const std::uint8_t>(chunk.data));
     }
   }
+  chunks_.clear();
 }
 
 void NidsEngine::close_connection(const FiveTuple& key, Connection& conn) {
@@ -38,17 +36,8 @@ void NidsEngine::close_connection(const FiveTuple& key, Connection& conn) {
     const FiveTuple tuple =
         half == conn.client.get() ? conn.client_tuple
                                   : conn.client_tuple.reversed();
-    auto chunks = half->reasm.flush();
-    for (const auto& chunk : chunks) {
-      stats_.bytes_delivered += chunk.data.size();
-      if (!half->delivered_any && !chunk.data.empty()) {
-        half->delivered_any = true;
-        ++stats_.streams_with_data;
-      }
-      if (on_chunk_) {
-        on_chunk_(tuple, std::span<const std::uint8_t>(chunk.data));
-      }
-    }
+    half->reasm.flush(chunks_);
+    deliver(*half, tuple);
   }
   flows_.erase(key);
 }
@@ -119,9 +108,10 @@ void NidsEngine::on_packet(const Packet& pkt, Timestamp now) {
       meta.seq_raw = pkt.seq();
       meta.tcp_flags = pkt.tcp_flags();
       meta.wire_payload = pkt.wire_payload_len();
-      auto result = half_ptr->reasm.on_data(pkt.seq(), pkt.payload(), meta);
+      const auto result =
+          half_ptr->reasm.on_data(pkt.seq(), pkt.payload(), meta, chunks_);
       half_ptr->bytes += result.accepted_bytes;
-      deliver(conn, *half_ptr, pkt.tuple(), std::move(result));
+      deliver(*half_ptr, pkt.tuple());
     }
   }
 

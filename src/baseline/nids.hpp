@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "base/hash.hpp"
 #include "baseline/engine.hpp"
@@ -73,8 +74,8 @@ class NidsEngine : public Engine {
 
   virtual kernel::StreamParams stream_params() const;
 
-  void deliver(Connection& conn, HalfStream& half, const FiveTuple& tuple,
-               kernel::TcpReassembler::Result&& result);
+  /// Hand chunks_ to the chunk callback and clear it.
+  void deliver(HalfStream& half, const FiveTuple& tuple);
   void expire_idle(Timestamp now);
   void close_connection(const FiveTuple& key, Connection& conn);
 
@@ -84,6 +85,8 @@ class NidsEngine : public Engine {
   // Keyed by the canonical tuple (both directions map to one connection).
   std::unordered_map<FiveTuple, Connection, TupleHash> flows_;
   Timestamp last_expiry_scan_;
+  // Chunks completed by the current reassembly call (reused).
+  std::vector<kernel::Chunk> chunks_;
 };
 
 }  // namespace scap::baseline

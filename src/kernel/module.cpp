@@ -222,6 +222,7 @@ ScapKernel::ScapKernel(KernelConfig config, nic::Nic* nic)
     : config_(std::move(config)),
       nic_(nic),
       allocator_(config_.memory_size),
+      chunk_buffers_(config_.defaults.chunk_size),
       table_(config_.max_streams, config_.flow_hash_seed),
       ppl_(config_.ppl),
       queues_(static_cast<std::size_t>(std::max(config_.num_cores, 1))),
@@ -411,9 +412,10 @@ void ScapKernel::ensure_block(StreamRecord& rec) {
 
 void ScapKernel::flush_chunks(StreamRecord& rec, std::uint32_t error_bits) {
   if (!rec.reasm) return;
-  auto chunks = rec.reasm->flush(error_bits);
+  completed_.clear();
+  rec.reasm->flush(completed_, error_bits);
   bool first = true;
-  for (auto& c : chunks) {
+  for (auto& c : completed_) {
     emit_data(rec, std::move(c), first);
     first = false;
   }
@@ -579,7 +581,7 @@ StreamRecord* ScapKernel::lookup_or_create(const Packet& pkt, Timestamp now,
   } else {
     // scap-lint: allow(hot-alloc) one reassembler per record slot, first use only — recycled records reset in place (ROADMAP item 2: move into the record pool slab)
     rec->reasm = std::make_unique<TcpReassembler>(
-        rec->params, config_.need_pkts);
+        rec->params, config_.need_pkts, kDefaultMaxOooBytes, &chunk_buffers_);
   }
   // scap-lint: allow(hot-alloc) flush-watch set grows only for streams configured with flush timeouts (DESIGN.md §14 inventory)
   if (rec->params.flush_timeout > Duration(0)) flush_watch_.insert(rec->id);
@@ -684,9 +686,10 @@ void ScapKernel::handle_payload(StreamRecord& rec, const Packet& pkt,
   meta.tcp_flags = pkt.tcp_flags();
   meta.wire_payload = pkt.wire_payload_len();
 
+  completed_.clear();
   TcpReassembler::Result result =
-      pkt.is_tcp() ? rec.reasm->on_data(pkt.seq(), payload, meta)
-                   : rec.reasm->on_datagram(payload, meta);
+      pkt.is_tcp() ? rec.reasm->on_data(pkt.seq(), payload, meta, completed_)
+                   : rec.reasm->on_datagram(payload, meta, completed_);
 
   rec.error_bits |= result.errors;
   if (result.alloc_failed) {
@@ -723,11 +726,11 @@ void ScapKernel::handle_payload(StreamRecord& rec, const Packet& pkt,
   }
 
   bool first = true;
-  for (auto& chunk : result.completed) {
+  for (auto& chunk : completed_) {
     emit_data(rec, std::move(chunk), first);
     first = false;
   }
-  if (!result.completed.empty() && rec.reasm->builder().has_data()) {
+  if (!completed_.empty() && rec.reasm->builder().has_data()) {
     ensure_block(rec);
   }
 

@@ -308,6 +308,12 @@ class ScapKernel {
   void release_chunk(const Event& ev) SCAP_REQUIRES(serial_) {
     if (ev.chunk_alloc) allocator_.release(ev.chunk_addr, ev.chunk_alloc);
   }
+  /// Same, and the chunk's payload buffer goes back to the kernel's spare
+  /// list for the next chunk (DESIGN.md §7); ev.chunk.data is left empty.
+  void release_chunk(Event& ev) SCAP_REQUIRES(serial_) {
+    if (ev.chunk_alloc) allocator_.release(ev.chunk_addr, ev.chunk_alloc);
+    chunk_buffers_.give(std::move(ev.chunk.data));
+  }
 
   // --- runtime control (backing for the Scap API) -------------------------
   StreamRecord* find_stream(StreamId id) SCAP_REQUIRES(serial_) {
@@ -430,6 +436,13 @@ class ScapKernel {
   /// is free — it is set once at construction.
   nic::Nic* nic_ SCAP_PT_GUARDED_BY(serial_);
   ChunkAllocator allocator_;
+  /// Spare chunk_size payload buffers (DESIGN.md §7). Reassemblers take
+  /// from it while they build chunks, release_chunk gives back: both from
+  /// inside the serial domain, so the list needs no lock of its own.
+  ChunkBufferPool chunk_buffers_ SCAP_GUARDED_BY(serial_);
+  /// Chunks completed by one reassembly call, handed to emit_data; cleared
+  /// and reused so completing a chunk allocates no hand-off vector.
+  std::vector<Chunk> completed_;
   FlowTable table_;
   Ppl ppl_;
   std::vector<EventQueue> queues_;

@@ -5,20 +5,45 @@
 
 namespace scap::kernel {
 
+// --- ChunkBufferPool --------------------------------------------------------
+
+std::vector<std::uint8_t> ChunkBufferPool::take(std::uint32_t capacity) {
+  if (count_ > 0 && spares_[count_ - 1].capacity() >= capacity) {
+    return std::move(spares_[--count_]);
+  }
+  return fresh(capacity);
+}
+
+std::vector<std::uint8_t> ChunkBufferPool::fresh(std::uint32_t capacity) {
+  std::vector<std::uint8_t> buf;
+  // scap-lint: allow(hot-alloc) THE chunk-payload buffer: one chunk_size reservation per chunk only while the spare list is empty; release_chunk returns delivered buffers, so a warm stream reuses them (DESIGN.md §7, §14 inventory)
+  buf.reserve(capacity);
+  return buf;
+}
+
+void ChunkBufferPool::give(std::vector<std::uint8_t> buf) {
+  if (buf.capacity() < min_capacity_ || count_ == kMaxSpares) return;
+  buf.clear();
+  spares_[count_++] = std::move(buf);
+}
+
 // --- ChunkBuilder -----------------------------------------------------------
 
 ChunkBuilder::ChunkBuilder(std::uint32_t chunk_size, std::uint32_t overlap_size,
-                           bool record_packets)
+                           bool record_packets, ChunkBufferPool* buffers)
     : chunk_size_(chunk_size ? chunk_size : 1),
       overlap_size_(overlap_size),
-      record_packets_(record_packets) {}
+      record_packets_(record_packets),
+      buffers_(buffers) {}
 
 void ChunkBuilder::reset(std::uint32_t chunk_size, std::uint32_t overlap_size,
                          bool record_packets) {
   chunk_size_ = chunk_size ? chunk_size : 1;
   overlap_size_ = overlap_size;
   record_packets_ = record_packets;
-  // clear() keeps the vectors' capacity — the point of recycling.
+  recycle(std::move(current_.data));
+  // clear() keeps the capacity a pool-less builder and the record vector
+  // had, for the next stream.
   current_.data.clear();
   current_.packets.clear();
   current_.stream_offset = 0;
@@ -26,8 +51,24 @@ void ChunkBuilder::reset(std::uint32_t chunk_size, std::uint32_t overlap_size,
   current_.errors = 0;
   current_.first_ts = Timestamp();
   current_started_ = false;
+  filled_ = false;
   pending_errors_ = 0;
   retained_.reset();
+}
+
+void ChunkBuilder::recycle(std::vector<std::uint8_t>&& buf) {
+  if (buffers_ != nullptr) buffers_->give(std::move(buf));
+}
+
+void ChunkBuilder::make_room(std::size_t need) {
+  if (need <= current_.data.capacity()) return;
+  if (!filled_ && need <= chunk_size_ / 4) return;  // small: vector growth
+  std::vector<std::uint8_t> buf = buffers_ != nullptr
+                                      ? buffers_->take(chunk_size_)
+                                      : ChunkBufferPool::fresh(chunk_size_);
+  // scap-lint: allow(hot-alloc) moves the sub-quarter prefix into the chunk_size buffer reserved above; never reallocates
+  buf.insert(buf.end(), current_.data.begin(), current_.data.end());
+  current_.data.swap(buf);
 }
 
 Chunk ChunkBuilder::take_current() {
@@ -50,6 +91,7 @@ Chunk ChunkBuilder::take_current() {
       // scap-lint: allow(hot-alloc) per-packet records of a kept chunk, only when need_pkts is on (DESIGN.md §14 inventory)
       merged.packets.push_back(rec);
     }
+    recycle(std::move(out.data));
     return merged;
   }
   return out;
@@ -61,7 +103,8 @@ void ChunkBuilder::start_next(const Chunk& completed) {
   const std::uint32_t tail =
       std::min<std::uint32_t>(overlap_size_,
                               static_cast<std::uint32_t>(completed.data.size()));
-  // scap-lint: allow(hot-alloc) overlap carry into the next chunk's buffer, whose capacity is retained across chunks (DESIGN.md §14 inventory)
+  make_room(tail);
+  // scap-lint: allow(hot-alloc) overlap carry into the next chunk's buffer; make_room just gave it chunk_size capacity (DESIGN.md §14 inventory)
   current_.data.assign(completed.data.end() - tail, completed.data.end());
   current_.overlap_len = tail;
   current_.stream_offset =
@@ -69,10 +112,9 @@ void ChunkBuilder::start_next(const Chunk& completed) {
   current_started_ = true;
 }
 
-std::vector<Chunk> ChunkBuilder::append(std::span<const std::uint8_t> data,
-                                        const SegmentMeta& meta,
-                                        std::uint64_t stream_off) {
-  std::vector<Chunk> completed;
+void ChunkBuilder::append(std::span<const std::uint8_t> data,
+                          const SegmentMeta& meta, std::uint64_t stream_off,
+                          std::vector<Chunk>& completed) {
   std::size_t consumed = 0;
   while (consumed < data.size()) {
     if (!current_started_) {
@@ -101,19 +143,20 @@ std::vector<Chunk> ChunkBuilder::append(std::span<const std::uint8_t> data,
         // scap-lint: allow(hot-alloc) per-packet record append (need_pkts); capacity retained across chunks, ROADMAP item 2 worklist (DESIGN.md §14 inventory)
         current_.packets.push_back(rec);
       }
-      // scap-lint: allow(hot-alloc) THE chunk-payload copy (0.56-0.64 allocs/pkt on reassembly/pipeline): vector growth until chunk_size capacity is reached, then reused; ROADMAP item 2 worklist (DESIGN.md §14 inventory)
+      make_room(current_.data.size() + take);
+      // scap-lint: allow(hot-alloc) the one payload copy: grows only while the chunk is under a quarter of chunk_size, then stays inside make_room's chunk_size buffer (DESIGN.md §7)
       current_.data.insert(current_.data.end(), data.begin() + consumed,
                            data.begin() + consumed + take);
       consumed += take;
     }
     if (current_.data.size() >= chunk_size_) {
       Chunk done = take_current();
+      filled_ = true;
       start_next(done);
-      // scap-lint: allow(hot-alloc) completed-chunk handoff vector, one element per chunk_size bytes of payload (DESIGN.md §14 inventory)
+      // scap-lint: allow(hot-alloc) completed-chunk handoff into the caller's reused scratch vector: grows only past the largest chunk count one call has produced (DESIGN.md §14 inventory)
       completed.push_back(std::move(done));
     }
   }
-  return completed;
 }
 
 std::optional<Chunk> ChunkBuilder::flush() {
@@ -124,6 +167,7 @@ std::optional<Chunk> ChunkBuilder::flush() {
   }
   // A pure-overlap chunk (only the repeated tail) carries no new bytes.
   if (current_.data.size() == current_.overlap_len && !retained_) {
+    recycle(std::move(current_.data));
     current_ = Chunk{};
     current_started_ = false;
     return std::nullopt;
@@ -138,11 +182,13 @@ void ChunkBuilder::retain(Chunk&& kept) { retained_ = std::move(kept); }
 // --- TcpReassembler ---------------------------------------------------------
 
 TcpReassembler::TcpReassembler(const StreamParams& params, bool record_packets,
-                               std::uint64_t max_ooo_bytes)
+                               std::uint64_t max_ooo_bytes,
+                               ChunkBufferPool* buffers)
     : mode_(params.mode),
       policy_(params.policy),
       max_ooo_bytes_(max_ooo_bytes),
-      builder_(params.chunk_size, params.overlap_size, record_packets) {}
+      builder_(params.chunk_size, params.overlap_size, record_packets,
+               buffers) {}
 
 void TcpReassembler::reset(const StreamParams& params, bool record_packets,
                            std::uint64_t max_ooo_bytes) {
@@ -172,25 +218,23 @@ std::optional<std::uint64_t> TcpReassembler::offset_of(std::uint32_t seq) const 
 }
 
 void TcpReassembler::deliver(std::span<const std::uint8_t> data,
-                             const SegmentMeta& meta, Result& result) {
-  auto done = builder_.append(data, meta, next_off_);
+                             const SegmentMeta& meta, Result& result,
+                             std::vector<Chunk>& completed) {
+  builder_.append(data, meta, next_off_, completed);
   result.accepted_bytes += data.size();
   next_off_ += data.size();
-  // scap-lint: allow(hot-alloc) completed-chunk handoff, one element per finished chunk (DESIGN.md §14 inventory)
-  for (auto& c : done) result.completed.push_back(std::move(c));
 }
 
-void TcpReassembler::drain_ooo(const SegmentMeta& meta, Result& result) {
+void TcpReassembler::drain_ooo(const SegmentMeta& meta,
+                               std::vector<Chunk>& completed) {
   while (auto run = ooo_.pop_contiguous(next_off_)) {
-    auto done = builder_.append(*run, meta, next_off_);
+    builder_.append(*run, meta, next_off_, completed);
     next_off_ += run->size();
-    // scap-lint: allow(hot-alloc) completed-chunk handoff when a hole fills (strict mode), per chunk not per packet (DESIGN.md §14 inventory)
-    for (auto& c : done) result.completed.push_back(std::move(c));
   }
 }
 
-void TcpReassembler::force_deliver_ooo(const SegmentMeta& meta,
-                                       Result& result) {
+void TcpReassembler::force_deliver_ooo(const SegmentMeta& meta, Result& result,
+                                       std::vector<Chunk>& completed) {
   // Adversarial hole-flood: fall back to best-effort, flagging the gap.
   while (ooo_.buffered_bytes() > max_ooo_bytes_ / 2) {
     auto seg = ooo_.pop_front();
@@ -206,16 +250,14 @@ void TcpReassembler::force_deliver_ooo(const SegmentMeta& meta,
       if (skip >= bytes.size()) continue;
       bytes = bytes.subspan(skip);
     }
-    auto done = builder_.append(bytes, meta, next_off_);
+    builder_.append(bytes, meta, next_off_, completed);
     next_off_ += bytes.size();
-    // scap-lint: allow(hot-alloc) completed-chunk handoff on OOO-buffer overflow degrade, per chunk not per packet (DESIGN.md §14 inventory)
-    for (auto& c : done) result.completed.push_back(std::move(c));
   }
 }
 
 TcpReassembler::Result TcpReassembler::on_data(
     std::uint32_t seq, std::span<const std::uint8_t> payload,
-    const SegmentMeta& meta) {
+    const SegmentMeta& meta, std::vector<Chunk>& completed) {
   Result result;
   if (payload.empty()) return result;
 
@@ -262,14 +304,14 @@ TcpReassembler::Result TcpReassembler::on_data(
       result.errors |= kErrHole;
       next_off_ = uoff;
     }
-    deliver(data, meta, result);
+    deliver(data, meta, result, completed);
     return result;
   }
 
   // Strict mode.
   if (uoff == next_off_) {
-    deliver(data, meta, result);
-    drain_ooo(meta, result);
+    deliver(data, meta, result, completed);
+    drain_ooo(meta, completed);
     return result;
   }
   auto ins = ooo_.insert(uoff, data, policy_);
@@ -291,22 +333,23 @@ TcpReassembler::Result TcpReassembler::on_data(
   if (ooo_.buffered_bytes() > max_ooo_bytes_) {
     result.errors |= kErrBufferOverflow;
     builder_.flag_error(kErrBufferOverflow);
-    force_deliver_ooo(meta, result);
+    force_deliver_ooo(meta, result, completed);
   }
   return result;
 }
 
 TcpReassembler::Result TcpReassembler::on_datagram(
-    std::span<const std::uint8_t> payload, const SegmentMeta& meta) {
+    std::span<const std::uint8_t> payload, const SegmentMeta& meta,
+    std::vector<Chunk>& completed) {
   Result result;
   if (payload.empty()) return result;
   if (!have_base_) have_base_ = true;
-  deliver(payload, meta, result);
+  deliver(payload, meta, result, completed);
   return result;
 }
 
-std::vector<Chunk> TcpReassembler::flush(std::uint32_t error_bits) {
-  std::vector<Chunk> out;
+void TcpReassembler::flush(std::vector<Chunk>& completed,
+                           std::uint32_t error_bits) {
   if (mode_ == ReassemblyMode::kTcpStrict && !ooo_.empty()) {
     // Deliver whatever is buffered, flagging holes.
     SegmentMeta meta{};
@@ -321,16 +364,13 @@ std::vector<Chunk> TcpReassembler::flush(std::uint32_t error_bits) {
         if (skip >= bytes.size()) continue;
         bytes = bytes.subspan(skip);
       }
-      auto done = builder_.append(bytes, meta, next_off_);
+      builder_.append(bytes, meta, next_off_, completed);
       next_off_ += bytes.size();
-      // scap-lint: allow(hot-alloc) flush path: completed-chunk handoff, runs at termination/flush-timeout not per packet (DESIGN.md §14 inventory)
-      for (auto& c : done) out.push_back(std::move(c));
     }
   }
   if (error_bits) builder_.flag_error(error_bits);
-  // scap-lint: allow(hot-alloc) flush path: final partial chunk handoff (DESIGN.md §14 inventory)
-  if (auto last = builder_.flush()) out.push_back(std::move(*last));
-  return out;
+  // scap-lint: allow(hot-alloc) flush path: final partial chunk into the caller's reused scratch vector (DESIGN.md §14 inventory)
+  if (auto last = builder_.flush()) completed.push_back(std::move(*last));
 }
 
 }  // namespace scap::kernel

@@ -16,6 +16,8 @@
 // re-delivered in capture order (paper §5.7).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -44,6 +46,40 @@ struct Chunk {
   std::vector<PacketRecord> packets;
 };
 
+/// Spare chunk-payload buffers of one ScapKernel (DESIGN.md §7) — the
+/// software counterpart of the paper's preallocated stream buffer (§5.2).
+/// A chunk that outgrows a quarter of its chunk_size, or any chunk of a
+/// stream that has already filled one, moves into a buffer of chunk_size
+/// capacity taken from here; release_chunk hands delivered buffers back.
+/// Unsynchronized: one pool per kernel, used from its serial domain only.
+class ChunkBufferPool {
+ public:
+  /// At most this many spares are held; more are freed on give().
+  static constexpr std::size_t kMaxSpares = 32;
+
+  /// Buffers with less capacity than `min_capacity` (the kernel's default
+  /// chunk_size) are never kept. Nothing is reserved up front.
+  explicit ChunkBufferPool(std::uint32_t min_capacity)
+      : min_capacity_(min_capacity) {}
+
+  /// An empty buffer with capacity >= `capacity`: the latest spare when it
+  /// is large enough, else a fresh reservation of exactly `capacity`.
+  std::vector<std::uint8_t> take(std::uint32_t capacity);
+
+  /// A new empty buffer of exactly `capacity` (take()'s fallback; also
+  /// what a builder without a pool uses).
+  static std::vector<std::uint8_t> fresh(std::uint32_t capacity);
+
+  /// Keep `buf` for a later take() when it is large enough and the list
+  /// has room; otherwise it is freed here.
+  void give(std::vector<std::uint8_t> buf);
+
+ private:
+  std::uint32_t min_capacity_;
+  std::size_t count_ = 0;
+  std::array<std::vector<std::uint8_t>, kMaxSpares> spares_;
+};
+
 /// Per-packet metadata threaded through to PacketRecords.
 struct SegmentMeta {
   Timestamp ts;
@@ -53,19 +89,28 @@ struct SegmentMeta {
 };
 
 /// Accumulates delivered bytes into fixed-size chunks with overlap carry.
+///
+/// Buffer rule (DESIGN.md §7): a chunk grows like any vector while it stays
+/// under a quarter of chunk_size; the growth that would cross the quarter —
+/// or the first growth of any chunk once the stream has filled one — moves
+/// it into a chunk_size buffer from `buffers` (freshly reserved without a
+/// pool), which it never outgrows. Small streams keep small buffers;
+/// streams that have proven large start every chunk on a recycled one.
 class ChunkBuilder {
  public:
   ChunkBuilder(std::uint32_t chunk_size, std::uint32_t overlap_size,
-               bool record_packets);
+               bool record_packets, ChunkBufferPool* buffers = nullptr);
 
-  /// Reconfigure for a fresh stream, dropping all buffered state but
-  /// keeping the current chunk's grown capacity (record-pool recycling).
+  /// Reconfigure for a fresh stream, dropping all buffered state. A
+  /// chunk_size buffer goes back to the pool rather than staying pinned to
+  /// a recycled record; the packet-record vector keeps its capacity.
   void reset(std::uint32_t chunk_size, std::uint32_t overlap_size,
              bool record_packets);
 
-  /// Append delivered bytes; returns any chunks that filled up.
-  std::vector<Chunk> append(std::span<const std::uint8_t> data,
-                            const SegmentMeta& meta, std::uint64_t stream_off);
+  /// Append delivered bytes; chunks that fill up are appended to
+  /// `completed` (caller-owned and reused, never cleared here).
+  void append(std::span<const std::uint8_t> data, const SegmentMeta& meta,
+              std::uint64_t stream_off, std::vector<Chunk>& completed);
 
   /// Raise error bits on the chunk currently being built.
   void flag_error(std::uint32_t bits) { pending_errors_ |= bits; }
@@ -89,30 +134,45 @@ class ChunkBuilder {
  private:
   Chunk take_current();
   void start_next(const Chunk& completed);
+  /// Apply the buffer rule before the current chunk grows to `need` bytes.
+  void make_room(std::size_t need);
+  /// Hand a buffer to the pool; without a pool it stays with the caller.
+  void recycle(std::vector<std::uint8_t>&& buf);
 
+  // Scalars first, so buffers_ and filled_ fit where padding was: every
+  // stream record carries a builder, so its size is paid per stream.
   std::uint32_t chunk_size_;
   std::uint32_t overlap_size_;
-  bool record_packets_;
-  Chunk current_;
-  bool current_started_ = false;
   std::uint32_t pending_errors_ = 0;
+  bool record_packets_;
+  bool current_started_ = false;
+  /// The stream has completed at least one chunk (buffer rule).
+  bool filled_ = false;
+  ChunkBufferPool* buffers_;
+  Chunk current_;
   std::optional<Chunk> retained_;
 };
 
+/// Default bound on a stream's out-of-order buffer (strict mode).
+inline constexpr std::uint64_t kDefaultMaxOooBytes = 256 * 1024;
+
 /// One direction of a TCP (or UDP) stream.
+///
+/// Chunks completed by a call are appended to the caller's `completed`
+/// vector, which the caller clears and reuses (kernel scratch).
 class TcpReassembler {
  public:
   TcpReassembler(const StreamParams& params, bool record_packets,
-                 std::uint64_t max_ooo_bytes = 256 * 1024);
+                 std::uint64_t max_ooo_bytes = kDefaultMaxOooBytes,
+                 ChunkBufferPool* buffers = nullptr);
 
   /// Reinitialize for a fresh stream (record-pool recycling): equivalent to
   /// destroying and reconstructing, but reuses grown internal buffers so
   /// steady-state stream churn allocates nothing.
   void reset(const StreamParams& params, bool record_packets,
-             std::uint64_t max_ooo_bytes = 256 * 1024);
+             std::uint64_t max_ooo_bytes = kDefaultMaxOooBytes);
 
   struct Result {
-    std::vector<Chunk> completed;
     std::uint64_t accepted_bytes = 0;  // written to a chunk or buffered
     std::uint64_t dup_bytes = 0;       // duplicate / overlap-losing bytes
     std::uint32_t errors = 0;          // error bits raised by this segment
@@ -125,17 +185,19 @@ class TcpReassembler {
   /// Process one data segment (TCP path).
   SCAP_HOT Result on_data(std::uint32_t seq,
                           std::span<const std::uint8_t> payload,
-                          const SegmentMeta& meta);
+                          const SegmentMeta& meta,
+                          std::vector<Chunk>& completed);
 
   /// Process sequenced-less data (UDP path): straight append.
   SCAP_HOT Result on_datagram(std::span<const std::uint8_t> payload,
-                              const SegmentMeta& meta);
+                              const SegmentMeta& meta,
+                              std::vector<Chunk>& completed);
 
   /// Flush buffered out-of-order data (strict mode) and the partial chunk.
   /// `error_bits` is OR-ed into the final chunk (e.g. at termination).
-  /// May return multiple chunks when the out-of-order buffer held more than
-  /// one chunk's worth of data.
-  std::vector<Chunk> flush(std::uint32_t error_bits = 0);
+  /// May append multiple chunks when the out-of-order buffer held more
+  /// than one chunk's worth of data.
+  void flush(std::vector<Chunk>& completed, std::uint32_t error_bits = 0);
 
   /// Highest stream offset delivered or skipped so far — the stream "size"
   /// used for cutoff decisions.
@@ -150,9 +212,10 @@ class TcpReassembler {
 
  private:
   void deliver(std::span<const std::uint8_t> data, const SegmentMeta& meta,
-               Result& result);
-  void drain_ooo(const SegmentMeta& meta, Result& result);
-  void force_deliver_ooo(const SegmentMeta& meta, Result& result);
+               Result& result, std::vector<Chunk>& completed);
+  void drain_ooo(const SegmentMeta& meta, std::vector<Chunk>& completed);
+  void force_deliver_ooo(const SegmentMeta& meta, Result& result,
+                         std::vector<Chunk>& completed);
 
   ReassemblyMode mode_;
   OverlapPolicy policy_;

@@ -78,6 +78,9 @@ std::size_t FdirTable::remove_tuple(const FiveTuple& tuple) {
 }
 
 const FdirFilter* FdirTable::match(const Packet& pkt) const {
+  // Most receive paths run with no filter installed: skip the tuple hash
+  // and the map probe for every packet.
+  if (by_tuple_.empty()) return nullptr;
   auto t = by_tuple_.find(tuple_key(pkt.tuple()));
   if (t == by_tuple_.end()) return nullptr;
   const auto frame = pkt.frame();

@@ -17,6 +17,8 @@ class ScapKernel {
   int* nic_ SCAP_PT_GUARDED_BY(serial_) = nullptr;
   int* tracer_ = nullptr;  // expect-chain: guard-coverage: -
   int* fdir_queue_ SCAP_PT_GUARDED_BY(serial_) = nullptr;
+  struct ChunkBufferPool {};
+  ChunkBufferPool chunk_buffers_;  // expect-chain: guard-coverage: -
 };
 
 class KernelShards {

@@ -15,6 +15,8 @@ class ScapKernel {
   int* nic_ SCAP_PT_GUARDED_BY(serial_) = nullptr;
   int* tracer_ SCAP_PT_GUARDED_BY(serial_) = nullptr;
   int* fdir_queue_ SCAP_PT_GUARDED_BY(serial_) = nullptr;
+  struct ChunkBufferPool {};
+  ChunkBufferPool chunk_buffers_ SCAP_GUARDED_BY(serial_);
 };
 
 class KernelShards {

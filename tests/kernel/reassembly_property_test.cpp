@@ -13,8 +13,10 @@ namespace scap::kernel {
 namespace {
 
 std::string reconstruct(TcpReassembler& r) {
+  std::vector<Chunk> chunks;
+  r.flush(chunks);
   std::string out;
-  for (const auto& c : r.flush()) {
+  for (const auto& c : chunks) {
     out.append(c.data.begin() + c.overlap_len, c.data.end());
   }
   return out;
@@ -85,10 +87,9 @@ TEST_P(ReassemblyProperty, StrictReconstructsExactlyWithConsistentData) {
     auto res = r.on_data(
         1 + static_cast<std::uint32_t>(s.off),
         {reinterpret_cast<const std::uint8_t*>(truth.data()) + s.off, s.len},
-        meta);
+        meta, live);
     // Consistent copies can never conflict.
     EXPECT_EQ(res.errors & kErrOverlapConflict, 0u);
-    for (auto& c : res.completed) live.push_back(std::move(c));
   }
   std::string got;
   for (const auto& c : live) {
@@ -113,6 +114,7 @@ TEST_P(ReassemblyProperty, FastModeNeverDeliversMoreThanSent) {
   r.on_syn(0);
 
   std::uint64_t delivered = 0;
+  std::vector<Chunk> completed;
   auto segs = random_segments(rng, total);
   // Drop ~20% of segments entirely (capture loss).
   std::vector<Segment> kept;
@@ -124,14 +126,16 @@ TEST_P(ReassemblyProperty, FastModeNeverDeliversMoreThanSent) {
     auto res = r.on_data(
         1 + static_cast<std::uint32_t>(s.off),
         {reinterpret_cast<const std::uint8_t*>(truth.data()) + s.off, s.len},
-        meta);
+        meta, completed);
     delivered += res.accepted_bytes;
   }
   EXPECT_LE(delivered, total);
   EXPECT_LE(r.stream_offset(), total);
   // Everything flushed still bounded.
   std::uint64_t flushed = 0;
-  for (const auto& c : r.flush()) flushed += c.data.size();
+  completed.clear();
+  r.flush(completed);
+  for (const auto& c : completed) flushed += c.data.size();
   EXPECT_LE(flushed, delivered);
 }
 
@@ -157,15 +161,17 @@ TEST(ReassemblyConflicts, ContestedRangeIsCoherentPerPolicy) {
     const std::string attack = "AAAAAAAAAAAAAAAA";
     const std::string benign = "BBBBBBBBBBBBBBBB";
     SegmentMeta meta;
+    std::vector<Chunk> completed;
     // Hole at the front keeps both copies buffered (policy applies).
     auto to_span = [](const std::string& s) {
       return std::span<const std::uint8_t>(
           reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
     };
-    r.on_data(11, to_span(attack), meta);
-    auto res = r.on_data(11, to_span(benign), meta);
+    r.on_data(11, to_span(attack), meta, completed);
+    auto res = r.on_data(11, to_span(benign), meta, completed);
     EXPECT_NE(res.errors & kErrOverlapConflict, 0u);
-    r.on_data(1, to_span("0123456789"), meta);
+    r.on_data(1, to_span("0123456789"), meta, completed);
+    ASSERT_TRUE(completed.empty());
     std::string got = reconstruct(r);
     ASSERT_EQ(got.size(), 26u);
     const std::string contested = got.substr(10);

@@ -43,6 +43,27 @@ TEST(FdirTable, CutoffFiltersDropDataButPassFinRst) {
   EXPECT_EQ(table.match(tcp_packet(kTcpSyn | kTcpAck)), nullptr);
 }
 
+// match() short-circuits on an empty table; the answer must be the same as
+// the full probe's in every state the table passes through.
+TEST(FdirTable, EmptyTableMissesAndRefillsMatch) {
+  FdirTable table;
+  EXPECT_EQ(table.match(tcp_packet(kTcpAck)), nullptr);
+
+  FdirFilter f;
+  f.tuple = tuple();
+  f.expires = Timestamp::from_sec(1);
+  const std::uint64_t id = table.add(f);
+  EXPECT_NE(table.match(tcp_packet(kTcpAck)), nullptr);
+  ASSERT_TRUE(table.remove(id));
+  EXPECT_EQ(table.match(tcp_packet(kTcpAck)), nullptr);
+
+  table.add(f);
+  EXPECT_NE(table.match(tcp_packet(kTcpAck)), nullptr);
+  EXPECT_EQ(table.expire(Timestamp::from_sec(2)).size(), 1u);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.match(tcp_packet(kTcpAck)), nullptr);
+}
+
 TEST(FdirTable, RemoveById) {
   FdirTable table;
   FdirFilter f;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <mutex>
 #include <string>
+#include <vector>
 
+#include "base/rng.hpp"
 #include "tests/kernel/test_helpers.hpp"
 
 namespace scap {
@@ -273,6 +277,145 @@ TEST(CaptureTest, StrictModeEndToEnd) {
   cap.stop();
   EXPECT_EQ(text, "hello world!");
 }
+
+// Chunk-buffer recycling (DESIGN.md §7) must never change what a stream
+// delivers. Interleaved streams of mixed sizes share each kernel's spare
+// list: default chunks with an overlap carry, streams switched to a larger
+// and to a smaller chunk_size than the default, and streams that keep
+// every other chunk (scap_keep_stream_chunk) — all with need_pkts records.
+// Every delivery must be the stream's own bytes at its offset, every packet
+// record must point at that packet's bytes, and the deliveries must cover
+// each stream without a gap. Run inline and with two worker shards.
+class ChunkRecyclingTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ChunkRecyclingTest, DeliveriesMatchTheReferenceStreams) {
+  constexpr int kStreams = 48;
+  constexpr std::uint32_t kIsn = 1000;  // data starts at kIsn + 1
+  constexpr std::uint32_t kOverlap = 48;
+  constexpr std::uint32_t kLargeChunk = 40000;  // > the 16 KiB default
+  constexpr std::uint32_t kSmallChunk = 3000;   // < the default
+  enum Kind { kOverlapCarry, kLarge, kSmall, kKeep };
+  auto kind_of = [](std::size_t i) { return static_cast<Kind>(i % 4); };
+  auto port_of = [](std::size_t i) {
+    return static_cast<std::uint16_t>(20000 + i);
+  };
+
+  Rng rng(0xc0ffee);
+  std::vector<std::string> truth(kStreams);
+  for (std::size_t i = 0; i < truth.size(); ++i) {
+    // A third stay under a quarter chunk; the rest span several chunks.
+    const std::uint64_t len =
+        rng.chance(0.3) ? 50 + rng.bounded(3000) : 5000 + rng.bounded(100000);
+    truth[i].resize(len);
+    for (auto& ch : truth[i]) ch = static_cast<char>('a' + rng.bounded(26));
+  }
+
+  Capture cap("sim0", 1ull << 26, ReassemblyMode::kTcpFast, true);
+  cap.set_worker_threads(GetParam());
+  std::mutex mu;
+  std::vector<std::uint64_t> covered(kStreams, 0);
+  std::vector<int> deliveries(kStreams, 0);
+  std::vector<std::string> failures;
+  auto index_of = [](const StreamView& sd) {
+    return static_cast<std::size_t>(sd.tuple().src_port - 20000);
+  };
+  cap.dispatch_creation([&](StreamView& sd) {
+    switch (kind_of(index_of(sd))) {
+      case kOverlapCarry:
+        sd.set_parameter(Parameter::kOverlapSize, kOverlap);
+        break;
+      case kLarge:
+        sd.set_parameter(Parameter::kChunkSize, kLargeChunk);
+        break;
+      case kSmall:
+        sd.set_parameter(Parameter::kChunkSize, kSmallChunk);
+        break;
+      case kKeep:
+        break;
+    }
+  });
+  cap.dispatch_data([&](StreamView& sd) {
+    std::scoped_lock lock(mu);
+    const std::size_t i = index_of(sd);
+    const std::string& ref = truth[i];
+    const std::string got(sd.data().begin(), sd.data().end());
+    const std::uint64_t off = sd.stream_offset();
+    const std::string where = "stream " + std::to_string(i) + " offset " +
+                              std::to_string(off) + ": ";
+    if (off > covered[i]) failures.push_back(where + "gap before delivery");
+    if (off + got.size() > ref.size() ||
+        ref.compare(off, got.size(), got) != 0) {
+      failures.push_back(where + "bytes differ from the stream");
+    }
+    covered[i] = std::max<std::uint64_t>(covered[i], off + got.size());
+    while (const kernel::PacketRecord* rec = sd.next_packet()) {
+      const std::uint64_t pkt_off = rec->seq - (kIsn + 1);
+      const auto pay = sd.packet_payload(*rec);
+      if (rec->chunk_offset + rec->caplen > got.size() ||
+          pkt_off + pay.size() > ref.size() ||
+          ref.compare(pkt_off, pay.size(),
+                      std::string(pay.begin(), pay.end())) != 0) {
+        failures.push_back(where + "packet record at chunk offset " +
+                           std::to_string(rec->chunk_offset) +
+                           " does not point at its packet's bytes");
+      }
+    }
+    if (kind_of(i) == kKeep && deliveries[i] % 2 == 0) sd.keep_chunk();
+    ++deliveries[i];
+  });
+  cap.start();
+  kernel::testing::CaptureInvariantGuard guard(cap);
+
+  // Round-robin-ish interleave: a random live stream sends its next
+  // segment (1..1460 bytes); a finished stream sends its FIN.
+  std::vector<SessionBuilder> sessions;
+  std::vector<std::uint64_t> sent(kStreams, 0);
+  std::vector<Packet> batch;
+  Timestamp t(0);
+  auto flush_batch = [&] {
+    cap.inject_batch(batch);
+    batch.clear();
+  };
+  for (std::size_t i = 0; i < kStreams; ++i) {
+    sessions.emplace_back(client_tuple(port_of(i), 80), kIsn);
+    batch.push_back(sessions.back().syn(t));
+  }
+  flush_batch();
+  std::vector<std::size_t> live(kStreams);
+  for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
+  while (!live.empty()) {
+    const std::size_t pick = rng.bounded(live.size());
+    const std::size_t i = live[pick];
+    t = t + Duration::from_usec(10);
+    const std::uint64_t n = std::min<std::uint64_t>(
+        1 + rng.bounded(1460), truth[i].size() - sent[i]);
+    batch.push_back(sessions[i].data(truth[i].substr(sent[i], n), t));
+    sent[i] += n;
+    if (sent[i] == truth[i].size()) {
+      batch.push_back(sessions[i].fin(t));
+      live[pick] = live.back();
+      live.pop_back();
+    }
+    if (batch.size() >= 16) flush_batch();
+  }
+  flush_batch();
+  cap.stop();
+
+  std::scoped_lock lock(mu);
+  for (std::size_t i = 0; i < kStreams; ++i) {
+    EXPECT_EQ(covered[i], truth[i].size()) << "stream " << i;
+  }
+  EXPECT_TRUE(failures.empty())
+      << failures.size() << " failure(s), first: " << failures.front();
+  EXPECT_EQ(cap.stats().kernel.bytes_stored, [&] {
+    std::uint64_t total = 0;
+    for (const auto& ref : truth) total += ref.size();
+    return total;
+  }());
+}
+
+INSTANTIATE_TEST_SUITE_P(InlineAndTwoWorkers, ChunkRecyclingTest,
+                         ::testing::Values(0, 2));
 
 TEST(CaptureTest, StartTwiceThrows) {
   Capture cap("sim0", 1 << 20, ReassemblyMode::kTcpFast, false);

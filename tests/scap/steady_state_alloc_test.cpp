@@ -4,21 +4,29 @@
 // amortized sites; this test replaces the global allocator with counting
 // hooks and shows those amortized sites actually reach zero: once the flow
 // table, record pool and event queue cover the working set, per-packet
-// lookup work and event emission perform literally no allocations.
+// lookup work and event emission perform literally no allocations, and
+// once a long stream has filled a chunk, building, delivering and
+// releasing further chunks recycles their buffers instead of allocating.
 //
 // The counting-hook pattern (and the -Wmismatched-new-delete pragma it
 // needs under GCC) follows bench/throughput.cpp.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "kernel/events.hpp"
 #include "kernel/flow_table.hpp"
+#include "kernel/module.hpp"
 #include "kernel/record_pool.hpp"
+#include "tests/kernel/test_helpers.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -221,6 +229,100 @@ TEST(SteadyStateAlloc, EventQueueGrowsOnceThenReuses) {
   const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
   EXPECT_EQ(expect, 5u + 101u * 100u);
+}
+
+// Capacities of the data events one drain delivered, read before
+// release_chunk hands each payload buffer back to the kernel.
+void drain_capacities(ScapKernel& k, std::vector<std::size_t>& out) {
+  out.clear();
+  EventQueue& q = k.events(0);
+  while (!q.empty()) {
+    Event ev = q.pop();
+    if (ev.type == EventType::kData) out.push_back(ev.chunk.data.capacity());
+    k.release_chunk(ev);
+  }
+}
+
+// The chunk path: one long TCP stream through handle_batch, drained and
+// released after every batch. Once the stream has filled its first chunk
+// the kernel holds the buffers it needs (the chunk being built and the one
+// in flight), so dozens more chunks and the termination flush build,
+// deliver and recycle without touching the allocator. The batch carries
+// less than a chunk of payload, so at most one chunk completes per drain.
+TEST(SteadyStateAlloc, ChunkPathIsAllocFreeOnceAStreamFilledAChunk) {
+  KernelConfig cfg;  // default 16 KiB chunks, no overlap, no need_pkts
+  ScapKernel k(cfg);
+  const std::uint32_t chunk = cfg.defaults.chunk_size;
+  constexpr std::size_t kPayload = 1460;
+  constexpr std::size_t kBatch = 8;  // 11680 B < one chunk per batch
+  constexpr std::uint64_t kMeasuredChunks = 60;
+
+  // Every packet is crafted up front: building frames allocates.
+  testing::SessionBuilder s;
+  const std::string payload(kPayload, 'x');
+  std::vector<Packet> pkts;
+  Timestamp t(1000);
+  auto next_ts = [&t] { return t = t + Duration::from_usec(1); };
+  pkts.push_back(s.syn(next_ts()));
+  const std::uint64_t total = (kMeasuredChunks + 2) * chunk + chunk / 2;
+  for (std::uint64_t sent = 0; sent < total; sent += kPayload) {
+    pkts.push_back(s.data(payload, next_ts()));
+  }
+  pkts.push_back(s.fin(next_ts()));
+  ASSERT_LT(t.ns(), Duration::from_sec(1).ns());  // no maintenance tick
+
+  std::vector<std::size_t> caps;
+  caps.reserve(16);
+  std::size_t next = 0;
+  std::uint64_t chunks = 0;
+  auto run_batch = [&] {
+    const std::size_t n = std::min(kBatch, pkts.size() - next);
+    const std::span<const Packet> batch(pkts.data() + next, n);
+    k.handle_batch(batch, batch.back().timestamp());
+    next += n;
+    drain_capacities(k, caps);
+    for (std::size_t cap : caps) {
+      EXPECT_EQ(cap, chunk) << "delivered chunk " << chunks;
+      ++chunks;
+    }
+  };
+
+  // Warm: stream creation, the first (promoted) chunk and its release.
+  while (chunks == 0) run_batch();
+  const std::uint64_t warm_chunks = chunks;
+
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  while (next < pkts.size()) run_batch();
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+
+  // Full chunks plus the termination flush's partial one.
+  EXPECT_GE(chunks - warm_chunks, kMeasuredChunks + 1);
+  EXPECT_EQ(k.stats().streams_terminated, 1u);
+  EXPECT_EQ(k.allocator().used(), 0u);
+  EXPECT_EQ(after - before, 0u)
+      << "warm chunk path allocated " << (after - before) << " time(s) over "
+      << (chunks - warm_chunks) << " chunks";
+}
+
+// The memory half of the buffer rule: a stream that never reaches a quarter
+// chunk keeps a small, vector-grown buffer; one that has filled a chunk
+// delivers every later chunk in a buffer of exactly chunk_size.
+TEST(SteadyStateAlloc, SmallStreamsKeepSmallChunkBuffers) {
+  KernelConfig cfg;
+  ScapKernel k(cfg);
+  const std::uint32_t chunk = cfg.defaults.chunk_size;
+  testing::SessionBuilder s;
+  Timestamp t(1000);
+  std::vector<std::size_t> caps;
+  k.handle_packet(s.syn(t), t);
+  const std::string payload(1000, 'y');
+  for (int i = 0; i < 3; ++i) k.handle_packet(s.data(payload, t), t);
+  ASSERT_LT(3 * payload.size(), chunk / 4);
+  k.handle_packet(s.fin(t), t);
+  drain_capacities(k, caps);
+  ASSERT_EQ(caps.size(), 1u);
+  EXPECT_GE(caps[0], 3 * payload.size());
+  EXPECT_LT(caps[0], chunk);
 }
 
 }  // namespace

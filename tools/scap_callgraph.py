@@ -206,6 +206,9 @@ REQUIRED_GUARDS = {
         "nic_": "SCAP_PT_GUARDED_BY",
         "tracer_": "SCAP_PT_GUARDED_BY",
         "fdir_queue_": "SCAP_PT_GUARDED_BY",
+        # Spare chunk buffers: reassembly takes, release_chunk gives back
+        # (DESIGN.md §7); both run inside the kernel's serial domain.
+        "chunk_buffers_": "SCAP_GUARDED_BY",
     },
     "kernel::KernelShards": {
         "pushed_": "SCAP_GUARDED_BY",
