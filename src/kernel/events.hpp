@@ -27,7 +27,6 @@ struct StreamSnapshot {
   StreamStats stats;
   StreamParams params;
   std::uint64_t chunks_delivered = 0;
-  Duration processing_time = Duration(0);
 };
 
 enum class EventType : std::uint8_t { kCreated, kData, kTerminated };

@@ -188,11 +188,9 @@ StreamRecord* FlowTable::create(const FiveTuple& tuple, Timestamp now,
   if (rec == nullptr) return nullptr;
   rec->id = next_id_++;
   rec->tuple = tuple;
-  rec->tuple_hash = hash_of(tuple);
-  rec->created_at = now;
   rec->last_access = now;
   rec->last_flush = now;
-  insert_slot(rec, rec->tuple_hash);
+  insert_slot(rec, hash_of(tuple));
   insert_id(rec);
   ++id_size_;
   ++size_;
@@ -219,7 +217,7 @@ void FlowTable::remove(StreamRecord& rec) {
   }
   // Locate this record's slot (not merely a record with an equal tuple:
   // duplicates are possible, so compare the pointer).
-  std::size_t i = rec.tuple_hash & mask_;
+  std::size_t i = hash_of(rec.tuple) & mask_;
   while (slots_[i].rec != &rec) i = (i + 1) & mask_;
   erase_tuple_slot(i);
   --size_;

@@ -36,43 +36,58 @@
 namespace scap::kernel {
 
 /// Kernel-side record for one stream direction (the paper's stream_t).
+///
+/// Sized to what every stream uses (DESIGN.md §7): at most 256 bytes,
+/// ordered by when the fast path touches them. The first 64 bytes hold
+/// what every packet reads or writes for lookup and LRU upkeep, the next
+/// 64 the per-stream parameters the cutoff/PPL decision reads, the rest
+/// the statistics and the chunk state. The reassembler is not part of the
+/// record: a stream gets one from the kernel's spare list only when it is
+/// about to store its first payload byte, so cutoff-0, discarded and
+/// control-only streams never hold one.
 struct StreamRecord {
   StreamId id = kInvalidStreamId;
   FiveTuple tuple;
-  std::uint64_t tuple_hash = 0;  // seeded hash of `tuple`, cached at create
-  Direction dir = Direction::kOrig;
   StreamId opposite = kInvalidStreamId;
-  StreamStatus status = StreamStatus::kActive;
-  HandshakeState handshake = HandshakeState::kNone;
-  std::uint32_t error_bits = 0;
-  StreamStats stats;
-  StreamParams params;
-  std::unique_ptr<TcpReassembler> reasm;
-
-  bool cutoff_exceeded = false;
-  bool discard_requested = false;  // scap_discard_stream()
-  bool fdir_installed = false;
-  Duration fdir_timeout = Duration::from_sec(0);
-
-  // Memory accounting: the open chunk's allocated block.
-  std::uint64_t chunk_addr = 0;
-  std::uint32_t chunk_alloc = 0;
-  // Accounting carried by a kept chunk (scap_keep_stream_chunk).
-  std::uint32_t kept_alloc = 0;
-
-  // Worker-side bookkeeping mirrored into snapshots.
-  std::uint64_t chunks_delivered = 0;
-  Duration processing_time = Duration(0);
-
-  int core = 0;
-  Timestamp created_at;
-  Timestamp last_access;
-  Timestamp last_flush;  // last data-event emission (flush timeout basis)
-
   // Intrusive LRU links (front = most recently touched).
   StreamRecord* lru_prev = nullptr;
   StreamRecord* lru_next = nullptr;
+  Timestamp last_access;
+  Direction dir = Direction::kOrig;
+  StreamStatus status = StreamStatus::kActive;
+  HandshakeState handshake = HandshakeState::kNone;
+  bool cutoff_exceeded = false;
+  bool discard_requested = false;  // scap_discard_stream()
+  bool fdir_installed = false;
+  /// A SYN was seen; `syn_isn` is its sequence number. Stream offsets of a
+  /// stream without a reassembler are computed from it (cutoff decisions,
+  /// the §5.5 FIN-after-cutoff byte count), and a reassembler created later
+  /// is seeded with it.
+  bool syn_seen = false;
+  std::uint32_t syn_isn = 0;
+
+  std::uint32_t error_bits = 0;
+  int core = 0;
+  // Memory accounting: the open chunk's allocated block.
+  std::uint32_t chunk_alloc = 0;
+  StreamParams params;
+
+  StreamStats stats;
+  /// Null until the stream stores payload; back to the kernel's spare list
+  /// when it ends.
+  std::unique_ptr<TcpReassembler> reasm;
+  Duration fdir_timeout = Duration::from_sec(0);
+  std::uint64_t chunk_addr = 0;
+  // Worker-side bookkeeping mirrored into snapshots.
+  std::uint64_t chunks_delivered = 0;
+  Timestamp last_flush;  // last data-event emission (flush timeout basis)
+  // Accounting carried by a kept chunk (scap_keep_stream_chunk).
+  std::uint32_t kept_alloc = 0;
 };
+
+// 262144 concurrent streams cost 64 MiB of records.
+static_assert(sizeof(StreamRecord) <= 256,
+              "StreamRecord outgrew its 256-byte budget (DESIGN.md §7)");
 
 /// Snapshot of RecordPool occupancy (mirrored into KernelStats).
 struct RecordPoolStats {
@@ -131,7 +146,7 @@ class FlowTable {
   /// Oldest record (tail of the access list), or nullptr.
   StreamRecord* oldest() { return lru_tail_; }
 
-  /// Seeded hash of a tuple — the value cached in slots and records.
+  /// Seeded hash of a tuple — the value cached in slots.
   SCAP_HOT std::uint64_t hash_of(const FiveTuple& t) const {
     // Field-wise hashing: hashing the struct's raw bytes would include
     // indeterminate padding.

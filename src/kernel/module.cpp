@@ -223,6 +223,7 @@ ScapKernel::ScapKernel(KernelConfig config, nic::Nic* nic)
       nic_(nic),
       allocator_(config_.memory_size),
       chunk_buffers_(config_.defaults.chunk_size),
+      reassemblers_(&chunk_buffers_),
       table_(config_.max_streams, config_.flow_hash_seed),
       ppl_(config_.ppl),
       queues_(static_cast<std::size_t>(std::max(config_.num_cores, 1))),
@@ -298,7 +299,6 @@ StreamSnapshot ScapKernel::snapshot(const StreamRecord& rec) const {
   s.stats = rec.stats;
   s.params = rec.params;
   s.chunks_delivered = rec.chunks_delivered;
-  s.processing_time = rec.processing_time;
   return s;
 }
 
@@ -401,6 +401,38 @@ void ScapKernel::emit_terminated(StreamRecord& rec) {
   ++stats_.streams_terminated;
 }
 
+std::optional<std::uint64_t> ScapKernel::offset_of(const StreamRecord& rec,
+                                                   std::uint32_t seq) {
+  if (rec.reasm) return rec.reasm->offset_of(seq);
+  if (!rec.syn_seen) return std::nullopt;
+  // Nothing delivered yet: data begins one past the ISN, at offset 0.
+  return stream_offset_of(rec.syn_isn + 1, 0, seq);
+}
+
+TcpReassembler& ScapKernel::take_reassembler(StreamRecord& rec) {
+  rec.reasm = reassemblers_.take(rec.params, config_.need_pkts);
+  if (rec.syn_seen) rec.reasm->on_syn(rec.syn_isn);
+  return *rec.reasm;
+}
+
+void ScapKernel::close_stream(StreamRecord& rec, StreamStatus status) {
+  rec.status = status;
+  flush_chunks(rec, 0);
+  reassemblers_.give(std::move(rec.reasm));
+  if (rec.chunk_alloc) {
+    allocator_.release(rec.chunk_addr, rec.chunk_alloc);
+    rec.chunk_addr = 0;
+    rec.chunk_alloc = 0;
+  }
+  if (rec.kept_alloc) {
+    allocator_.release(0, rec.kept_alloc);
+    rec.kept_alloc = 0;
+  }
+  flush_watch_.erase(rec.id);
+  auto& count = core_streams_[static_cast<std::size_t>(rec.core)];
+  if (count > 0) --count;
+}
+
 void ScapKernel::ensure_block(StreamRecord& rec) {
   if (rec.chunk_alloc != 0) return;
   const std::uint32_t size = rec.params.chunk_size;
@@ -490,17 +522,7 @@ void ScapKernel::trigger_cutoff(StreamRecord& rec, Timestamp now,
 
 void ScapKernel::terminate(StreamRecord& rec, StreamStatus status,
                            Timestamp now, PacketOutcome* outcome) {
-  rec.status = status;
-  flush_chunks(rec, 0);
-  if (rec.chunk_alloc) {
-    allocator_.release(rec.chunk_addr, rec.chunk_alloc);
-    rec.chunk_addr = 0;
-    rec.chunk_alloc = 0;
-  }
-  if (rec.kept_alloc) {
-    allocator_.release(0, rec.kept_alloc);
-    rec.kept_alloc = 0;
-  }
+  close_stream(rec, status);
   if (rec.fdir_installed && (nic_ != nullptr || fdir_queue_ != nullptr)) {
     if (fdir_queue_ != nullptr) {
       FdirCommand cmd;
@@ -522,9 +544,6 @@ void ScapKernel::terminate(StreamRecord& rec, StreamStatus status,
     SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kFdirEvict, rec.core,
                      now, rec.id, 0);
   }
-  flush_watch_.erase(rec.id);
-  auto& count = core_streams_[static_cast<std::size_t>(rec.core)];
-  if (count > 0) --count;
   emit_terminated(rec);
   if (outcome) outcome->terminated_stream = true;
   table_.remove(rec);
@@ -574,15 +593,8 @@ StreamRecord* ScapKernel::lookup_or_create(const Packet& pkt, Timestamp now,
   }
 
   resolve_params(*rec);
-  // Pool-recycled records arrive with their previous reassembler attached;
-  // reset it in place instead of paying a heap round trip.
-  if (rec->reasm) {
-    rec->reasm->reset(rec->params, config_.need_pkts);
-  } else {
-    // scap-lint: allow(hot-alloc) one reassembler per record slot, first use only — recycled records reset in place (ROADMAP item 2: move into the record pool slab)
-    rec->reasm = std::make_unique<TcpReassembler>(
-        rec->params, config_.need_pkts, kDefaultMaxOooBytes, &chunk_buffers_);
-  }
+  // No reassembler yet: handle_payload takes one when the stream is about
+  // to store its first byte.
   // scap-lint: allow(hot-alloc) flush-watch set grows only for streams configured with flush timeouts (DESIGN.md §14 inventory)
   if (rec->params.flush_timeout > Duration(0)) flush_watch_.insert(rec->id);
 
@@ -632,8 +644,8 @@ void ScapKernel::handle_payload(StreamRecord& rec, const Packet& pkt,
   // Stream offset of this payload (cutoff & PPL decisions).
   std::uint64_t off = 0;
   if (pkt.is_tcp()) {
-    off = rec.reasm->offset_of(pkt.seq()).value_or(0);
-  } else {
+    off = offset_of(rec, pkt.seq()).value_or(0);
+  } else if (rec.reasm) {
     off = rec.reasm->stream_offset();
   }
 
@@ -686,10 +698,13 @@ void ScapKernel::handle_payload(StreamRecord& rec, const Packet& pkt,
   meta.tcp_flags = pkt.tcp_flags();
   meta.wire_payload = pkt.wire_payload_len();
 
+  // Storing a byte is what needs reassembly state: the first one takes it
+  // (cutoff-0, discarded and control-only streams never get any).
+  TcpReassembler& reasm = rec.reasm ? *rec.reasm : take_reassembler(rec);
   completed_.clear();
   TcpReassembler::Result result =
-      pkt.is_tcp() ? rec.reasm->on_data(pkt.seq(), payload, meta, completed_)
-                   : rec.reasm->on_datagram(payload, meta, completed_);
+      pkt.is_tcp() ? reasm.on_data(pkt.seq(), payload, meta, completed_)
+                   : reasm.on_datagram(payload, meta, completed_);
 
   rec.error_bits |= result.errors;
   if (result.alloc_failed) {
@@ -730,13 +745,13 @@ void ScapKernel::handle_payload(StreamRecord& rec, const Packet& pkt,
     emit_data(rec, std::move(chunk), first);
     first = false;
   }
-  if (!completed_.empty() && rec.reasm->builder().has_data()) {
+  if (!completed_.empty() && reasm.builder().has_data()) {
     ensure_block(rec);
   }
 
   // Cutoff reached exactly with this packet's bytes.
   if (cutoff >= 0 &&
-      rec.reasm->stream_offset() >= static_cast<std::uint64_t>(cutoff)) {
+      reasm.stream_offset() >= static_cast<std::uint64_t>(cutoff)) {
     trigger_cutoff(rec, now, outcome);
   }
 
@@ -858,7 +873,13 @@ PacketOutcome ScapKernel::handle_decoded(const Packet& pkt, Timestamp now,
   if (pkt.is_tcp()) {
     // Handshake tracking.
     if (pkt.has_flag(kTcpSyn)) {
-      rec->reasm->on_syn(pkt.seq());
+      // The first SYN anchors offset 0 (a retransmitted one does not move
+      // it); the reassembler a stream takes later is seeded with it. One
+      // that exists already stored bytes, so its base is set.
+      if (!rec->syn_seen) {
+        rec->syn_seen = true;
+        rec->syn_isn = pkt.seq();
+      }
       rec->handshake = pkt.has_flag(kTcpAck) ? HandshakeState::kSynAckSeen
                                              : HandshakeState::kSynSeen;
       rec->stats.pkts++;
@@ -899,7 +920,7 @@ PacketOutcome ScapKernel::handle_decoded(const Packet& pkt, Timestamp now,
       // Flow statistics for NIC-offloaded streams: the FIN/RST sequence
       // number reveals how many bytes the NIC dropped (paper §5.5).
       if (rec->cutoff_exceeded) {
-        if (auto total = rec->reasm->offset_of(pkt.seq())) {
+        if (auto total = offset_of(*rec, pkt.seq())) {
           rec->stats.bytes = std::max(rec->stats.bytes, *total);
         }
       }
@@ -922,7 +943,9 @@ PacketOutcome ScapKernel::handle_decoded(const Packet& pkt, Timestamp now,
     if (rec->params.mode == ReassemblyMode::kNone || !pkt.is_udp()) {
       // Packet-oriented delivery: every packet becomes its own chunk.
       handle_payload(*rec, pkt, now, outcome);
-      if (rec->reasm->builder().has_data()) flush_chunks(*rec, 0);
+      if (rec->reasm && rec->reasm->builder().has_data()) {
+        flush_chunks(*rec, 0);
+      }
     } else {
       handle_payload(*rec, pkt, now, outcome);
     }
@@ -961,17 +984,7 @@ void ScapKernel::run_maintenance(Timestamp now) {
 
   // Inactivity expiry, oldest first (paper §5.2).
   table_.expire_idle(now, [&](StreamRecord& rec) {
-    rec.status = StreamStatus::kClosedTimeout;
-    flush_chunks(rec, 0);
-    if (rec.chunk_alloc) {
-      allocator_.release(rec.chunk_addr, rec.chunk_alloc);
-      rec.chunk_addr = 0;
-      rec.chunk_alloc = 0;
-    }
-    if (rec.kept_alloc) {
-      allocator_.release(0, rec.kept_alloc);
-      rec.kept_alloc = 0;
-    }
+    close_stream(rec, StreamStatus::kClosedTimeout);
     if (rec.fdir_installed && (nic_ != nullptr || fdir_queue_ != nullptr)) {
       if (fdir_queue_ != nullptr) {
         FdirCommand cmd;
@@ -987,9 +1000,6 @@ void ScapKernel::run_maintenance(Timestamp now) {
       SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kFdirEvict, rec.core,
                        now, rec.id, 0);
     }
-    flush_watch_.erase(rec.id);
-    auto& count = core_streams_[static_cast<std::size_t>(rec.core)];
-    if (count > 0) --count;
     emit_terminated(rec);
   });
 
@@ -1016,7 +1026,7 @@ void ScapKernel::run_maintenance(Timestamp now) {
         continue;
       }
       if (now - rec->last_flush >= rec->params.flush_timeout &&
-          rec->reasm->builder().has_data()) {
+          rec->reasm && rec->reasm->builder().has_data()) {
         flush_chunks(*rec, 0);
         rec->last_flush = now;
       }

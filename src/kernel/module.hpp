@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -386,6 +387,9 @@ class ScapKernel {
   }
   const KernelConfig& config() const { return config_; }
   ChunkAllocator& allocator() { return allocator_; }
+  const ReassemblerPool& reassemblers() const SCAP_REQUIRES(serial_) {
+    return reassemblers_;
+  }
   FlowTable& table() { return table_; }
   const Ppl& ppl() const { return ppl_; }
   nic::Nic* nic() { return nic_; }
@@ -407,6 +411,18 @@ class ScapKernel {
       SCAP_REQUIRES(serial_);
   void emit_terminated(StreamRecord& rec) SCAP_REQUIRES(serial_);
   StreamSnapshot snapshot(const StreamRecord& rec) const;
+  /// Stream offset of a TCP sequence number: the reassembler's view once
+  /// the stream has one, else the SYN's; nullopt while neither knows where
+  /// offset 0 is.
+  static std::optional<std::uint64_t> offset_of(const StreamRecord& rec,
+                                                std::uint32_t seq);
+  /// Give a stream that has none a reassembler from the spare list,
+  /// seeded with the SYN's ISN when one was seen.
+  TcpReassembler& take_reassembler(StreamRecord& rec) SCAP_REQUIRES(serial_);
+  /// Flush the stream's chunks and hand back its reassembler and chunk
+  /// accounting: the common part of terminate and inactivity expiry.
+  void close_stream(StreamRecord& rec, StreamStatus status)
+      SCAP_REQUIRES(serial_);
   void ensure_block(StreamRecord& rec) SCAP_REQUIRES(serial_);
   void handle_payload(StreamRecord& rec, const Packet& pkt, Timestamp now,
                       PacketOutcome& outcome) SCAP_REQUIRES(serial_);
@@ -440,6 +456,10 @@ class ScapKernel {
   /// from it while they build chunks, release_chunk gives back: both from
   /// inside the serial domain, so the list needs no lock of its own.
   ChunkBufferPool chunk_buffers_ SCAP_GUARDED_BY(serial_);
+  /// Spare reassemblers (DESIGN.md §7): a stream takes one when it is
+  /// about to store its first payload byte, terminate and expiry give it
+  /// back. Serial domain only, like chunk_buffers_.
+  ReassemblerPool reassemblers_ SCAP_GUARDED_BY(serial_);
   /// Chunks completed by one reassembly call, handed to emit_data; cleared
   /// and reused so completing a chunk allocates no hand-off vector.
   std::vector<Chunk> completed_;

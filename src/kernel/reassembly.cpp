@@ -210,11 +210,7 @@ void TcpReassembler::on_syn(std::uint32_t isn) {
 
 std::optional<std::uint64_t> TcpReassembler::offset_of(std::uint32_t seq) const {
   if (!have_base_) return std::nullopt;
-  const std::uint32_t expected_raw =
-      base_raw_ + static_cast<std::uint32_t>(next_off_);
-  const auto delta = static_cast<std::int32_t>(seq - expected_raw);
-  const std::int64_t off = static_cast<std::int64_t>(next_off_) + delta;
-  return off < 0 ? 0 : static_cast<std::uint64_t>(off);
+  return stream_offset_of(base_raw_, next_off_, seq);
 }
 
 void TcpReassembler::deliver(std::span<const std::uint8_t> data,
@@ -267,10 +263,7 @@ TcpReassembler::Result TcpReassembler::on_data(
     have_base_ = true;
   }
 
-  const std::uint32_t expected_raw =
-      base_raw_ + static_cast<std::uint32_t>(next_off_);
-  const auto delta = static_cast<std::int32_t>(seq - expected_raw);
-  std::int64_t off = static_cast<std::int64_t>(next_off_) + delta;
+  std::int64_t off = signed_stream_offset(base_raw_, next_off_, seq);
   std::span<const std::uint8_t> data = payload;
 
   // Reject segments absurdly far from the window (likely corruption or an
@@ -371,6 +364,32 @@ void TcpReassembler::flush(std::vector<Chunk>& completed,
   if (error_bits) builder_.flag_error(error_bits);
   // scap-lint: allow(hot-alloc) flush path: final partial chunk into the caller's reused scratch vector (DESIGN.md §14 inventory)
   if (auto last = builder_.flush()) completed.push_back(std::move(*last));
+}
+
+// --- ReassemblerPool --------------------------------------------------------
+
+std::unique_ptr<TcpReassembler> ReassemblerPool::take(
+    const StreamParams& params, bool record_packets) {
+  if (count_ == 0) {
+    // scap-lint: allow(hot-alloc) a new reassembler only while no spare is held: streams give theirs back when they end, so the count stays at the peak of concurrently reassembling streams (DESIGN.md §7, §14 inventory)
+    return create(params, record_packets);
+  }
+  std::unique_ptr<TcpReassembler> reasm = std::move(spares_[--count_]);
+  reasm->reset(params, record_packets);
+  return reasm;
+}
+
+std::unique_ptr<TcpReassembler> ReassemblerPool::create(
+    const StreamParams& params, bool record_packets) {
+  spares_.emplace_back();  // the slot give() will return it to
+  return std::make_unique<TcpReassembler>(params, record_packets,
+                                          kDefaultMaxOooBytes, buffers_);
+}
+
+void ReassemblerPool::give(std::unique_ptr<TcpReassembler> reasm) {
+  // A reassembler this pool did not create has no slot: it is freed here.
+  if (reasm == nullptr || count_ == spares_.size()) return;
+  spares_[count_++] = std::move(reasm);
 }
 
 }  // namespace scap::kernel

@@ -19,6 +19,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -153,6 +154,30 @@ class ChunkBuilder {
   std::optional<Chunk> retained_;
 };
 
+/// Stream offset of raw TCP sequence number `seq` in a stream whose offset
+/// 0 is raw sequence `base` and whose next expected offset is `next_off`:
+/// the signed 32-bit distance from the next expected byte, so the mapping
+/// survives sequence wrap and streams past 4 GiB. Negative values lie
+/// before offset 0.
+inline std::int64_t signed_stream_offset(std::uint32_t base,
+                                         std::uint64_t next_off,
+                                         std::uint32_t seq) {
+  const std::uint32_t expected_raw =
+      base + static_cast<std::uint32_t>(next_off);
+  const auto delta = static_cast<std::int32_t>(seq - expected_raw);
+  return static_cast<std::int64_t>(next_off) + delta;
+}
+
+/// signed_stream_offset clamped at 0: the offset the kernel's cutoff and
+/// PPL decisions use, for a stream with or without a reassembler (one
+/// without has next_off 0 and, after a SYN, base ISN+1).
+inline std::uint64_t stream_offset_of(std::uint32_t base,
+                                      std::uint64_t next_off,
+                                      std::uint32_t seq) {
+  const std::int64_t off = signed_stream_offset(base, next_off, seq);
+  return off < 0 ? 0 : static_cast<std::uint64_t>(off);
+}
+
 /// Default bound on a stream's out-of-order buffer (strict mode).
 inline constexpr std::uint64_t kDefaultMaxOooBytes = 256 * 1024;
 
@@ -166,9 +191,9 @@ class TcpReassembler {
                  std::uint64_t max_ooo_bytes = kDefaultMaxOooBytes,
                  ChunkBufferPool* buffers = nullptr);
 
-  /// Reinitialize for a fresh stream (record-pool recycling): equivalent to
-  /// destroying and reconstructing, but reuses grown internal buffers so
-  /// steady-state stream churn allocates nothing.
+  /// Reinitialize for a fresh stream (ReassemblerPool recycling):
+  /// equivalent to destroying and reconstructing, but reuses grown
+  /// internal buffers so steady-state stream churn allocates nothing.
   void reset(const StreamParams& params, bool record_packets,
              std::uint64_t max_ooo_bytes = kDefaultMaxOooBytes);
 
@@ -225,6 +250,42 @@ class TcpReassembler {
   bool have_base_ = false;
   std::uint32_t base_raw_ = 0;  // raw seq of stream offset 0
   std::uint64_t next_off_ = 0;  // next expected stream offset
+};
+
+/// Spare reassemblers of one ScapKernel (DESIGN.md §7). A stream takes one
+/// only when it is about to store its first payload byte and gives it back
+/// when it ends, so the number ever created is the peak number of streams
+/// reassembling at once, whatever the traffic mix that reuses the record
+/// slots. Unsynchronized: one pool per kernel, used from its serial domain
+/// only.
+class ReassemblerPool {
+ public:
+  /// Reassemblers created here build their chunks from `buffers`.
+  explicit ReassemblerPool(ChunkBufferPool* buffers) : buffers_(buffers) {}
+
+  /// A reassembler set up for a fresh stream with `params`: the latest
+  /// spare after reset(), or a new one when no spare is held.
+  std::unique_ptr<TcpReassembler> take(const StreamParams& params,
+                                       bool record_packets);
+
+  /// Keep a finished stream's reassembler for a later take(). Never
+  /// allocates; nullptr is ignored.
+  void give(std::unique_ptr<TcpReassembler> reasm);
+
+  /// Reassemblers this pool has created (live and spare).
+  std::size_t created() const { return spares_.size(); }
+  /// Reassemblers held as spares right now.
+  std::size_t spares() const { return count_; }
+
+ private:
+  std::unique_ptr<TcpReassembler> create(const StreamParams& params,
+                                         bool record_packets);
+
+  ChunkBufferPool* buffers_;
+  /// One slot per reassembler ever created, so give() is an index
+  /// assignment; [0, count_) hold the spares.
+  std::vector<std::unique_ptr<TcpReassembler>> spares_;
+  std::size_t count_ = 0;
 };
 
 }  // namespace scap::kernel

@@ -12,17 +12,14 @@ RecordPool::RecordPool(std::size_t slab_records)
 void RecordPool::grow() {
   // scap-lint: allow(hot-alloc) slab growth: one allocation per slab_records new streams, zero once the pool covers the working set (DESIGN.md §14 inventory)
   auto slab = std::make_unique<StreamRecord[]>(slab_records_);
-  // Size the freelist backing store for the full pool up front, so the
-  // refill below and release() are plain index assignments — the freelist
-  // itself never performs a growth call on the per-stream path.
+  // Size the freelist backing store for the full pool up front, so
+  // release() is a plain index assignment — the freelist itself never
+  // performs a growth call on the per-stream path.
   // scap-lint: allow(hot-alloc) freelist resize rides the amortized slab growth above
   free_.resize((slabs_.size() + 1) * slab_records_);
-  // Hand out low addresses first (the live stack is popped from the top).
-  for (std::size_t i = slab_records_; i-- > 0;) {
-    free_[free_count_++] = &slab[i];
-  }
   // scap-lint: allow(hot-alloc) slab bookkeeping rides the amortized slab growth
   slabs_.push_back(std::move(slab));
+  fresh_next_ = 0;
 }
 
 StreamRecord* RecordPool::acquire() {
@@ -32,16 +29,18 @@ StreamRecord* RecordPool::acquire() {
     ++acquire_failures_;
     return nullptr;
   }
-  if (free_count_ == 0) grow();
-  StreamRecord* rec = free_[--free_count_];
   ++acquired_total_;
-  if (rec->reasm) ++recycled_total_;
-  // Reset every field to its default, but keep the recycled reassembler
-  // (with its grown internal buffers) for the caller to reset() and reuse.
-  std::unique_ptr<TcpReassembler> reasm = std::move(rec->reasm);
-  *rec = StreamRecord{};
-  rec->reasm = std::move(reasm);
-  return rec;
+  if (free_count_ > 0) {
+    // The most recently released record first (it is likeliest cached).
+    StreamRecord* rec = free_[--free_count_];
+    ++recycled_total_;
+    *rec = StreamRecord{};
+    return rec;
+  }
+  // Fresh slots are value-initialized by the slab allocation, lowest
+  // address first.
+  if (fresh_next_ == slab_records_) grow();
+  return &slabs_.back()[fresh_next_++];
 }
 
 // Index assignment into storage grow() already sized for the full pool:
@@ -51,7 +50,7 @@ void RecordPool::release(StreamRecord* rec) { free_[free_count_++] = rec; }
 RecordPoolStats RecordPool::stats() const {
   RecordPoolStats s;
   s.capacity = slabs_.size() * slab_records_;
-  s.free = free_count_;
+  s.free = free_count_ + (slab_records_ - fresh_next_);
   s.slabs = slabs_.size();
   s.acquired_total = acquired_total_;
   s.recycled_total = recycled_total_;

@@ -1,12 +1,13 @@
 // Slab allocator for StreamRecords (fast-path memory layout, DESIGN.md).
 //
 // Stream create/terminate is the second-hottest kernel operation after flow
-// lookup; allocating each StreamRecord (plus its TcpReassembler) with
-// operator new puts a malloc/free pair on that path and scatters records
-// across the heap. The pool carves records out of fixed-size slabs and
-// recycles them through a freelist, so steady-state stream churn performs
-// zero heap allocations: a released record — including its reassembler and
-// that reassembler's grown buffers — is handed back to the next create.
+// lookup; allocating each StreamRecord with operator new puts a malloc/free
+// pair on that path and scatters records across the heap. The pool carves
+// records out of fixed-size slabs and recycles them through a freelist, so
+// steady-state stream churn performs zero heap allocations. Records carry
+// no reassembler of their own: the kernel lends one from its spare list to
+// a stream that stores payload and takes it back when the stream ends
+// (DESIGN.md §7), so a recycled slot hands nothing over to the next stream.
 //
 // Pointer stability: slabs are never freed while the pool lives, so a
 // StreamRecord* stays valid from acquire() until release() regardless of
@@ -31,14 +32,14 @@ class RecordPool {
   RecordPool(const RecordPool&) = delete;
   RecordPool& operator=(const RecordPool&) = delete;
 
-  /// Take a record. All fields are value-initialized except `reasm`, which
-  /// keeps the recycled record's reassembler instance (if any) so the
-  /// caller can reset() it instead of reallocating. Allocates a new slab
-  /// only when the freelist is empty.
+  /// Take a record with every field value-initialized: a released one
+  /// when the freelist holds any (counted as recycled), else a slot of the
+  /// newest slab never handed out before. Allocates a new slab only when
+  /// both are exhausted.
   StreamRecord* acquire();
 
-  /// Return a record to the freelist. The record's reassembler is kept
-  /// alive for recycling; everything else becomes garbage.
+  /// Return a record to the freelist. Its contents become garbage until
+  /// the next acquire() resets them.
   void release(StreamRecord* rec);
 
   RecordPoolStats stats() const;
@@ -48,12 +49,14 @@ class RecordPool {
 
   std::size_t slab_records_;
   std::vector<std::unique_ptr<StreamRecord[]>> slabs_;
-  /// Freelist as an explicit stack over pre-sized storage: grow() resizes
-  /// `free_` to the full pool, `free_count_` marks the live top. Pushes
-  /// and pops are index assignments, so the per-stream path never grows a
-  /// container.
+  /// Released records as an explicit stack over pre-sized storage: grow()
+  /// resizes `free_` to the full pool, `free_count_` marks the live top.
+  /// Pushes and pops are index assignments, so the per-stream path never
+  /// grows a container.
   std::vector<StreamRecord*> free_;
   std::size_t free_count_ = 0;
+  /// Slots of the newest slab below this index have been handed out.
+  std::size_t fresh_next_ = 0;
   std::uint64_t acquired_total_ = 0;
   std::uint64_t recycled_total_ = 0;
   std::uint64_t acquire_failures_ = 0;  // injected allocation failures

@@ -105,7 +105,6 @@ class StreamView {
   // --- statistics (sd->stats) ----------------------------------------------
   const kernel::StreamStats& stats() const { return ev_.stream.stats; }
   std::uint64_t chunks() const { return ev_.stream.chunks_delivered; }
-  Duration processing_time() const { return ev_.stream.processing_time; }
 
   // --- chunk data (sd->data / sd->data_len) --------------------------------
   std::span<const std::uint8_t> data() const {

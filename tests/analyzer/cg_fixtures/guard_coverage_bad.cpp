@@ -19,6 +19,8 @@ class ScapKernel {
   int* fdir_queue_ SCAP_PT_GUARDED_BY(serial_) = nullptr;
   struct ChunkBufferPool {};
   ChunkBufferPool chunk_buffers_;  // expect-chain: guard-coverage: -
+  struct ReassemblerPool {};
+  ReassemblerPool reassemblers_;  // expect-chain: guard-coverage: -
 };
 
 class KernelShards {

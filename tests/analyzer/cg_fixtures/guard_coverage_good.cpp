@@ -17,6 +17,8 @@ class ScapKernel {
   int* fdir_queue_ SCAP_PT_GUARDED_BY(serial_) = nullptr;
   struct ChunkBufferPool {};
   ChunkBufferPool chunk_buffers_ SCAP_GUARDED_BY(serial_);
+  struct ReassemblerPool {};
+  ReassemblerPool reassemblers_ SCAP_GUARDED_BY(serial_);
 };
 
 class KernelShards {

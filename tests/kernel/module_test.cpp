@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "kernel/shard.hpp"
 #include "tests/kernel/test_helpers.hpp"
 
 namespace scap::kernel {
@@ -533,6 +536,203 @@ TEST(ScapKernelTest, TerminateAllFlushesEverything) {
   EXPECT_EQ(term, 10);
   EXPECT_EQ(data, 10);
   EXPECT_EQ(k.allocator().used(), 0u);
+}
+
+// --- lazy reassembly state --------------------------------------------------
+
+/// One ScapKernel fed packet by packet (0 workers), or KernelShards with
+/// worker threads fed through their rings and flushed after every packet,
+/// so a test can read the stream records of a quiescent kernel either way.
+class Datapath {
+ public:
+  Datapath(const KernelConfig& cfg, int workers) {
+    if (workers == 0) {
+      kernel_.emplace(cfg);
+      return;
+    }
+    shards_.emplace(cfg, workers);
+    base::SerialGuard prod(shards_->producer());
+    shards_->start({});
+  }
+  ~Datapath() {
+    if (kernel_) {
+      testing::expect_invariants_hold(*kernel_);
+    } else {
+      base::SerialGuard prod(shards_->producer());
+      shards_->stop(Timestamp(0));
+    }
+  }
+
+  void feed(const Packet& pkt) {
+    if (kernel_) {
+      kernel_->handle_packet(pkt, pkt.timestamp());
+      drain(*kernel_);
+      return;
+    }
+    base::SerialGuard prod(shards_->producer());
+    shards_->submit(pkt);
+    shards_->flush();
+  }
+
+  /// The kernel that owns `pkt`'s stream.
+  ScapKernel& kernel_for(const Packet& pkt) {
+    return kernel_ ? *kernel_ : shards_->kernel(shards_->shard_for(pkt));
+  }
+
+  /// Every kernel: the single one, or one per shard.
+  std::vector<ScapKernel*> kernels() {
+    if (kernel_) return {&*kernel_};
+    std::vector<ScapKernel*> all;
+    for (int i = 0; i < shards_->num_shards(); ++i) {
+      all.push_back(&shards_->kernel(i));
+    }
+    return all;
+  }
+
+  /// `pkt`'s stream record, looked up by id as the Scap API does.
+  const StreamRecord* record_of(const Packet& pkt) {
+    ScapKernel& k = kernel_for(pkt);
+    base::SerialGuard g(k.serial());
+    const StreamRecord* rec = k.table().find(pkt.tuple());
+    return rec == nullptr ? nullptr : k.find_stream(rec->id);
+  }
+
+ private:
+  std::optional<ScapKernel> kernel_;
+  std::optional<KernelShards> shards_;
+};
+
+class LazyReassemblyKernelTest : public ::testing::TestWithParam<int> {};
+
+// A stream holds reassembly state only once it stores a payload byte:
+// cutoff-0, discarded and SYN-only streams never do, and a reassembling
+// stream's state goes back to its kernel's spare list when it ends.
+TEST_P(LazyReassemblyKernelTest, OnlyStreamsThatStorePayloadHoldAReassembler) {
+  KernelConfig cfg = small_config();
+  CutoffClass zero;
+  zero.filter = BpfProgram::compile("tcp and port 1001");
+  zero.cutoff_bytes = 0;
+  cfg.cutoff_classes.push_back(zero);
+  Datapath dp(cfg, GetParam());
+  Timestamp t(0);
+  SessionBuilder cut(client_tuple(1001, 80));
+  SessionBuilder discarded(client_tuple(1002, 80));
+  SessionBuilder syn_only(client_tuple(1003, 80));
+  SessionBuilder stored(client_tuple(1004, 80));
+  for (SessionBuilder* s : {&cut, &discarded, &syn_only, &stored}) {
+    dp.feed(s->syn(t));
+  }
+  {
+    const Packet probe = discarded.syn(t);
+    ScapKernel& k = dp.kernel_for(probe);
+    base::SerialGuard g(k.serial());
+    ASSERT_TRUE(k.discard_stream(k.table().find(probe.tuple())->id));
+  }
+  for (int i = 0; i < 3; ++i) {
+    dp.feed(cut.data("0123456789", t));
+    dp.feed(discarded.data("0123456789", t));
+  }
+  dp.feed(stored.data("0123456789", t));
+
+  const StreamRecord* rec = dp.record_of(cut.syn(t));
+  ASSERT_NE(rec, nullptr);
+  EXPECT_TRUE(rec->cutoff_exceeded);
+  EXPECT_EQ(rec->stats.discarded_pkts, 3u);
+  EXPECT_EQ(rec->reasm, nullptr);
+
+  rec = dp.record_of(discarded.syn(t));
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->stats.discarded_pkts, 3u);
+  EXPECT_EQ(rec->reasm, nullptr);
+
+  rec = dp.record_of(syn_only.syn(t));
+  ASSERT_NE(rec, nullptr);
+  EXPECT_TRUE(rec->syn_seen);
+  EXPECT_EQ(rec->reasm, nullptr);
+
+  const Packet stored_probe = stored.syn(t);
+  rec = dp.record_of(stored_probe);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_NE(rec->reasm, nullptr);
+  EXPECT_EQ(rec->stats.captured_bytes, 10u);
+
+  dp.feed(stored.fin(t));
+  EXPECT_EQ(dp.record_of(stored_probe), nullptr);
+  std::size_t created = 0;
+  std::size_t spares = 0;
+  for (ScapKernel* k : dp.kernels()) {
+    base::SerialGuard g(k->serial());
+    created += k->reassemblers().created();
+    spares += k->reassemblers().spares();
+  }
+  EXPECT_EQ(created, 1u);
+  EXPECT_EQ(spares, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(InlineAndTwoWorkers, LazyReassemblyKernelTest,
+                         ::testing::Values(0, 2));
+
+// scap_keep_stream_chunk re-attaches a chunk to the stream's reassembler;
+// a stream that never stored a byte has none, so the kernel refuses and
+// the caller keeps the accounting.
+TEST(ScapKernelTest, KeepChunkNeedsAStreamThatStoredPayload) {
+  KernelConfig cfg = small_config();
+  CutoffClass zero;
+  zero.filter = BpfProgram::compile("tcp and port 1001");
+  zero.cutoff_bytes = 0;
+  cfg.cutoff_classes.push_back(zero);
+  ScapKernel k(cfg);
+  testing::KernelInvariantGuard guard(k);
+  Timestamp t(0);
+  SessionBuilder cut(client_tuple(1001, 80));
+  SessionBuilder stored(client_tuple(1002, 80));
+  for (SessionBuilder* s : {&cut, &stored}) {
+    k.handle_packet(s->syn(t), t);
+    k.handle_packet(s->data("0123456789", t), t);
+  }
+  drain(k);
+  const StreamId cut_id = k.table().find(cut.tuple())->id;
+  const StreamId stored_id = k.table().find(stored.tuple())->id;
+  Chunk kept;
+  kept.data.assign(4, 'k');
+  EXPECT_FALSE(k.keep_stream_chunk(cut_id, Chunk(kept), 0));
+  EXPECT_TRUE(k.keep_stream_chunk(stored_id, std::move(kept), 0));
+  k.handle_packet(stored.fin(t), t);
+  std::string delivered;
+  for (const auto& ev : drain(k)) {
+    if (ev.type == EventType::kData) delivered += chunk_text(ev);
+  }
+  EXPECT_EQ(delivered, "kkkk0123456789");
+}
+
+// pool_recycled counts every create served by a released record, whether
+// or not the stream before it held a reassembler: churning cutoff-0
+// streams through a fixed set of slots recycles all but the first use of
+// each slot.
+TEST(ScapKernelTest, PoolRecycledCountsEveryReusedRecord) {
+  KernelConfig cfg = small_config();
+  cfg.defaults.cutoff_bytes = 0;
+  ScapKernel k(cfg);
+  testing::KernelInvariantGuard guard(k);
+  constexpr std::uint16_t kConcurrent = 16;
+  constexpr int kRounds = 8;
+  Timestamp t(0);
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<SessionBuilder> sessions;
+    for (std::uint16_t i = 0; i < kConcurrent; ++i) {
+      sessions.emplace_back(client_tuple(
+          static_cast<std::uint16_t>(2000 + round * kConcurrent + i), 80));
+      k.handle_packet(sessions.back().syn(t), t);
+      k.handle_packet(sessions.back().data("0123456789", t), t);
+    }
+    for (SessionBuilder& s : sessions) k.handle_packet(s.fin(t), t);
+    drain(k);
+  }
+  const KernelStats& st = k.stats();
+  const std::uint64_t first_use_slots = kConcurrent;
+  EXPECT_EQ(st.streams_created, std::uint64_t{kConcurrent} * kRounds);
+  EXPECT_EQ(st.pool_recycled, st.streams_created - first_use_slots);
+  EXPECT_EQ(k.reassemblers().created(), 0u);
 }
 
 }  // namespace

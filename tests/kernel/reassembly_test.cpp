@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace scap::kernel {
 namespace {
@@ -479,6 +482,56 @@ TEST_P(ChunkSizeSweep, AllBytesDeliveredExactlyOnce) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ChunkSizeSweep,
                          ::testing::Values(1, 7, 64, 512, 4096, 16384));
+
+// One offset formula serves the reassembler and streams without one: the
+// 32-bit distance from the next expected byte, across sequence wrap,
+// clamped at offset 0.
+TEST(StreamOffset, MapsAcrossSequenceWrapAndClampsBeforeTheBase) {
+  EXPECT_EQ(stream_offset_of(0xfffffff0u, 0, 0x10u), 0x20u);
+  EXPECT_EQ(stream_offset_of(1001, 0, 1001), 0u);
+  EXPECT_EQ(stream_offset_of(1001, 0, 900), 0u);
+  EXPECT_EQ(signed_stream_offset(1001, 0, 900), -101);
+  // Past 4 GiB the high bits come from next_off.
+  const std::uint64_t far = (1ull << 32) + 100;
+  EXPECT_EQ(stream_offset_of(0, far, 150), far + 50);
+}
+
+// Spares come back reset for the next stream's parameters; a give-back
+// never grows the pool, and one it did not create is simply freed.
+TEST(ReassemblerPool, RecyclesResetReassemblersAndCountsWhatItCreated) {
+  ChunkBufferPool buffers(64);
+  ReassemblerPool pool(&buffers);
+  std::vector<Chunk> done;
+
+  std::unique_ptr<TcpReassembler> a =
+      pool.take(params(ReassemblyMode::kTcpFast, 4), false);
+  a->on_syn(1000);
+  a->on_data(1001, bytes_of("abcdef"), meta_at(1), done);
+  ASSERT_EQ(done.size(), 1u);  // "abcd"; "ef" stays buffered
+  TcpReassembler* const first = a.get();
+  pool.give(std::move(a));
+  pool.give(nullptr);
+  EXPECT_EQ(pool.created(), 1u);
+  EXPECT_EQ(pool.spares(), 1u);
+
+  std::unique_ptr<TcpReassembler> b =
+      pool.take(params(ReassemblyMode::kTcpFast, 8), false);
+  EXPECT_EQ(b.get(), first);
+  EXPECT_EQ(pool.spares(), 0u);
+  EXPECT_FALSE(b->builder().has_data());
+  EXPECT_EQ(b->builder().chunk_size(), 8u);
+  EXPECT_EQ(b->offset_of(5000), std::nullopt);  // no base until SYN/data
+
+  std::unique_ptr<TcpReassembler> c =
+      pool.take(params(ReassemblyMode::kTcpFast), false);
+  EXPECT_EQ(pool.created(), 2u);
+  pool.give(std::move(b));
+  pool.give(std::move(c));
+  pool.give(std::make_unique<TcpReassembler>(
+      params(ReassemblyMode::kTcpFast), false));
+  EXPECT_EQ(pool.created(), 2u);
+  EXPECT_EQ(pool.spares(), 2u);
+}
 
 }  // namespace
 }  // namespace scap::kernel

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
+#include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/rng.hpp"
@@ -415,6 +419,261 @@ TEST_P(ChunkRecyclingTest, DeliveriesMatchTheReferenceStreams) {
 }
 
 INSTANTIATE_TEST_SUITE_P(InlineAndTwoWorkers, ChunkRecyclingTest,
+                         ::testing::Values(0, 2));
+
+// --- lazy reassembly state ---------------------------------------------------
+//
+// A stream gets reassembly state only when it is about to store its first
+// payload byte. These cases pin what must not change because of that:
+// where offset 0 is, chunk geometry set before the first byte, UDP
+// offsets, the §5.5 flow size of a stream that never stored a byte, and
+// scap_keep_stream_chunk. Each runs inline and with two workers.
+
+struct Delivery {
+  std::string bytes;
+  std::uint64_t offset = 0;
+  std::uint32_t errors = 0;
+  bool operator==(const Delivery&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Delivery& d) {
+  return os << "{\"" << d.bytes << "\" @" << d.offset << " errors "
+            << d.errors << "}";
+}
+
+/// Records every delivery and each stream's final statistics (by source
+/// port) from whichever thread dispatches them.
+struct Recorder {
+  std::mutex mu;
+  std::vector<Delivery> deliveries;
+  std::map<std::uint16_t, kernel::StreamStats> final_stats;
+  std::map<std::uint16_t, std::uint32_t> final_errors;
+  std::atomic<int> created{0};
+  std::atomic<int> delivered{0};
+
+  void record(const StreamView& sd) {
+    std::scoped_lock lock(mu);
+    deliveries.push_back({std::string(sd.data().begin(), sd.data().end()),
+                          sd.stream_offset(), sd.chunk_errors()});
+    ++delivered;
+  }
+
+  void attach(Capture& cap) {
+    cap.dispatch_data([this](StreamView& sd) { record(sd); });
+    cap.dispatch_termination([this](StreamView& sd) {
+      std::scoped_lock lock(mu);
+      final_stats[sd.tuple().src_port] = sd.stats();
+      final_errors[sd.tuple().src_port] = sd.error();
+    });
+  }
+
+  /// Block until `counter` reaches `n`: at once inline; a worker runs the
+  /// callbacks after the packets that caused them, asynchronously.
+  static void wait_for(const std::atomic<int>& counter, int n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (counter.load() < n &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GE(counter.load(), n) << "callback never ran";
+  }
+  void wait_created(int n) { wait_for(created, n); }
+};
+
+class LazyReassemblyTest : public ::testing::TestWithParam<int> {
+ protected:
+  static Packet fin_at(const FiveTuple& tuple, std::uint32_t seq,
+                       Timestamp ts) {
+    TcpSegmentSpec spec;
+    spec.tuple = tuple;
+    spec.seq = seq;
+    spec.flags = kTcpFin | kTcpAck;
+    return make_tcp_packet(spec, ts);
+  }
+};
+
+// The cutoff goes from 0 to unlimited in the creation callback, after the
+// SYN: the stream's first stored byte must land at its offset from the
+// SYN's ISN, exactly as in a stream that was never limited. The first
+// segment is lost, so the first delivery starts at offset 6 with a hole.
+TEST_P(LazyReassemblyTest, CutoffRaisedAfterTheSynMatchesAnUnlimitedStream) {
+  auto run = [&](bool start_at_zero) {
+    Capture cap("sim0", 1 << 20, ReassemblyMode::kTcpFast, false);
+    cap.set_worker_threads(GetParam());
+    cap.set_parameter(Parameter::kChunkSize, 8);
+    if (start_at_zero) cap.set_cutoff(0);
+    Recorder r;
+    r.attach(cap);
+    cap.dispatch_creation([&](StreamView& sd) {
+      if (start_at_zero) sd.set_cutoff(-1);
+      ++r.created;
+    });
+    cap.start();
+    {
+      kernel::testing::CaptureInvariantGuard guard(cap);
+      SessionBuilder s(client_tuple(5001, 80), 1000);
+      Timestamp t(0);
+      cap.inject(s.syn(t));
+      r.wait_created(1);
+      s.data("lost!!", t);  // never reaches the capture
+      cap.inject(s.data("0123456789", t));
+      cap.inject(s.data("abcdefghij", t));
+      s.data("XXXX", t);  // a second hole
+      cap.inject(s.data("klmnop", t));
+      cap.inject(s.fin(t));
+      cap.stop();
+    }
+    EXPECT_EQ(r.final_stats[5001].captured_bytes, 26u);
+    return r.deliveries;
+  };
+  const std::vector<Delivery> raised = run(true);
+  const std::vector<Delivery> reference = run(false);
+  EXPECT_EQ(raised, reference);
+  ASSERT_FALSE(raised.empty());
+  EXPECT_EQ(raised.front(), (Delivery{"01234567", 6, kernel::kErrHole}));
+}
+
+// No SYN: offset 0 is the first stored segment, as before.
+TEST_P(LazyReassemblyTest, MidFlowPickupAnchorsAtTheFirstStoredSegment) {
+  Capture cap("sim0", 1 << 20, ReassemblyMode::kTcpFast, false);
+  cap.set_worker_threads(GetParam());
+  cap.set_parameter(Parameter::kChunkSize, 8);
+  Recorder r;
+  r.attach(cap);
+  cap.start();
+  {
+    kernel::testing::CaptureInvariantGuard guard(cap);
+    SessionBuilder s(client_tuple(5002, 80), 7000);
+    Timestamp t(0);
+    cap.inject(s.data("hello", t));
+    cap.inject(s.data("world", t));
+    s.data("XXXX", t);  // lost
+    cap.inject(s.data("again", t));
+    cap.inject(s.fin(t));
+    cap.stop();
+  }
+  const std::vector<Delivery> want = {{"hellowor", 0, 0},
+                                      {"ldagain", 8, kernel::kErrHole}};
+  EXPECT_EQ(r.deliveries, want);
+  EXPECT_NE(r.final_errors[5002] & kernel::kErrIncompleteHandshake, 0u);
+}
+
+// UDP offsets count stored bytes; a cutoff truncates the datagram that
+// crosses it and discards the rest, and a cutoff-0 UDP stream stores
+// nothing.
+TEST_P(LazyReassemblyTest, UdpStreamsStoreUpToTheirCutoff) {
+  Capture cap("sim0", 1 << 20, ReassemblyMode::kTcpFast, false);
+  cap.set_worker_threads(GetParam());
+  cap.set_cutoff(10);
+  cap.add_cutoff_class(0, "udp and port 6000");
+  Recorder r;
+  r.attach(cap);
+  cap.start();
+  {
+    kernel::testing::CaptureInvariantGuard guard(cap);
+    const FiveTuple limited{0x0a000001, 0x0a000002, 5003, 53, kProtoUdp};
+    const FiveTuple zero{0x0a000001, 0x0a000002, 6000, 53, kProtoUdp};
+    Timestamp t(0);
+    for (const char* d : {"abcdef", "ghijkl", "mnop"}) {
+      const std::string text(d);
+      for (const FiveTuple& tuple : {limited, zero}) {
+        cap.inject(make_udp_packet(tuple, kernel::testing::bytes_of(text), t));
+      }
+    }
+    cap.stop();
+  }
+  const std::vector<Delivery> want = {{"abcdefghij", 0, 0}};
+  EXPECT_EQ(r.deliveries, want);
+  EXPECT_EQ(r.final_stats[5003].captured_bytes, 10u);
+  EXPECT_EQ(r.final_stats[5003].discarded_pkts, 1u);
+  EXPECT_EQ(r.final_stats[6000].captured_bytes, 0u);
+  EXPECT_EQ(r.final_stats[6000].discarded_pkts, 3u);
+}
+
+// Chunk and overlap sizes set from the creation callback, before the
+// stream has reassembly state, shape every chunk it delivers.
+TEST_P(LazyReassemblyTest, ChunkGeometrySetBeforeTheFirstByteApplies) {
+  Capture cap("sim0", 1 << 20, ReassemblyMode::kTcpFast, false);
+  cap.set_worker_threads(GetParam());
+  Recorder r;
+  r.attach(cap);
+  cap.dispatch_creation([&](StreamView& sd) {
+    EXPECT_TRUE(sd.set_parameter(Parameter::kChunkSize, 5));
+    EXPECT_TRUE(sd.set_parameter(Parameter::kOverlapSize, 2));
+    ++r.created;
+  });
+  cap.start();
+  {
+    kernel::testing::CaptureInvariantGuard guard(cap);
+    SessionBuilder s(client_tuple(5004, 80));
+    Timestamp t(0);
+    cap.inject(s.syn(t));
+    r.wait_created(1);
+    cap.inject(s.data("abcdefghijkl", t));
+    cap.inject(s.fin(t));
+    cap.stop();
+  }
+  const std::vector<Delivery> want = {
+      {"abcde", 0, 0}, {"defgh", 3, 0}, {"ghijk", 6, 0}, {"jkl", 9, 0}};
+  EXPECT_EQ(r.deliveries, want);
+}
+
+// Flow statistics of a cutoff-0 stream (§5.5): the FIN's sequence number,
+// read against the SYN's ISN, gives the bytes the NIC never handed over —
+// the stream never stored one, so there is no reassembler to ask.
+TEST_P(LazyReassemblyTest, FinAfterCutoffCountsBytesWithoutReassembly) {
+  Capture cap("sim0", 1 << 20, ReassemblyMode::kTcpFast, false);
+  cap.set_worker_threads(GetParam());
+  cap.set_cutoff(0);
+  Recorder r;
+  r.attach(cap);
+  cap.start();
+  {
+    kernel::testing::CaptureInvariantGuard guard(cap);
+    SessionBuilder s(client_tuple(5005, 80), 1000);
+    Timestamp t(0);
+    cap.inject(s.syn(t));
+    cap.inject(s.data("0123456789", t));
+    cap.inject(fin_at(s.tuple(), 1000 + 1 + 5000, t));
+    cap.stop();
+  }
+  EXPECT_TRUE(r.deliveries.empty());
+  EXPECT_EQ(r.final_stats[5005].bytes, 5000u);
+  EXPECT_EQ(r.final_stats[5005].captured_bytes, 0u);
+}
+
+// scap_keep_stream_chunk needs the stream's reassembler: a stream that got
+// one lazily keeps a delivered chunk into its next delivery.
+TEST_P(LazyReassemblyTest, KeepChunkMergesIntoTheNextDelivery) {
+  Capture cap("sim0", 1 << 20, ReassemblyMode::kTcpFast, false);
+  cap.set_worker_threads(GetParam());
+  cap.set_parameter(Parameter::kChunkSize, 8);
+  Recorder r;
+  r.attach(cap);
+  cap.dispatch_data([&](StreamView& sd) {
+    if (r.delivered.load() == 0) sd.keep_chunk();
+    r.record(sd);
+  });
+  cap.start();
+  {
+    kernel::testing::CaptureInvariantGuard guard(cap);
+    SessionBuilder s(client_tuple(5006, 80));
+    Timestamp t(0);
+    cap.inject(s.syn(t));
+    cap.inject(s.data("AAAAAAAA", t));
+    // Kept only if the stream's next chunk is still being built.
+    Recorder::wait_for(r.delivered, 1);
+    cap.inject(s.data("BBBBBBBB", t));
+    cap.inject(s.fin(t));
+    cap.stop();
+  }
+  const std::vector<Delivery> want = {{"AAAAAAAA", 0, 0},
+                                      {"AAAAAAAABBBBBBBB", 0, 0}};
+  EXPECT_EQ(r.deliveries, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(InlineAndTwoWorkers, LazyReassemblyTest,
                          ::testing::Values(0, 2));
 
 TEST(CaptureTest, StartTwiceThrows) {

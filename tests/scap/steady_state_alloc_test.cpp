@@ -26,6 +26,7 @@
 #include "kernel/flow_table.hpp"
 #include "kernel/module.hpp"
 #include "kernel/record_pool.hpp"
+#include "packet/bpf.hpp"
 #include "tests/kernel/test_helpers.hpp"
 
 namespace {
@@ -323,6 +324,103 @@ TEST(SteadyStateAlloc, SmallStreamsKeepSmallChunkBuffers) {
   ASSERT_EQ(caps.size(), 1u);
   EXPECT_GE(caps[0], 3 * payload.size());
   EXPECT_LT(caps[0], chunk);
+}
+
+// Drain a kernel's events, handing every chunk back.
+void drain_all(ScapKernel& k) {
+  EventQueue& q = k.events(0);
+  while (!q.empty()) {
+    Event ev = q.pop();
+    k.release_chunk(ev);
+  }
+}
+
+// A cold kernel tracking thousands of cutoff-0 streams (the flow-statistics
+// workload of §3.3.1) allocates only for the growth of its slabs, tables
+// and event ring — O(log n) doublings plus one slab per 1024 records — and
+// never per stream: none of them stores a byte, so none gets reassembly
+// state.
+TEST(SteadyStateAlloc, CutoffZeroStreamsAllocateOnlyForGrowth) {
+  constexpr std::uint16_t kStreams = 4096;
+  constexpr std::size_t kBatch = 32;
+  // 3 slabs x 3 + 2 tables x 7 doublings + the event ring, with headroom;
+  // one allocation per stream would be 4096.
+  constexpr std::uint64_t kGrowthBound = 48;
+  KernelConfig cfg;
+  cfg.defaults.cutoff_bytes = 0;
+  ScapKernel k(cfg);
+
+  // Every packet is crafted up front: building frames allocates.
+  std::vector<Packet> pkts;
+  pkts.reserve(2 * kStreams);
+  Timestamp t(1000);
+  for (std::uint16_t p = 0; p < kStreams; ++p) {
+    testing::SessionBuilder s(tuple_for(p));
+    t = t + Duration::from_usec(1);
+    pkts.push_back(s.syn(t));
+    pkts.push_back(s.data("0123456789", t));
+  }
+  ASSERT_LT(t.ns(), Duration::from_sec(1).ns());  // no maintenance tick
+
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (std::size_t next = 0; next < pkts.size(); next += kBatch) {
+    const std::span<const Packet> batch(pkts.data() + next, kBatch);
+    k.handle_batch(batch, batch.back().timestamp());
+    drain_all(k);
+  }
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(k.stats().streams_active, kStreams);
+  EXPECT_EQ(k.stats().pkts_cutoff, kStreams);
+  EXPECT_EQ(k.reassemblers().created(), 0u);
+  EXPECT_LE(after - before, kGrowthBound)
+      << "creating " << kStreams << " cutoff-0 streams allocated "
+      << (after - before) << " time(s)";
+}
+
+// Cutoff-0 and reassembling streams churn through the same record slots,
+// round after round. Reassembly state follows the streams that store
+// bytes, not the slots: the kernel creates no more reassemblers than the
+// peak number of streams storing bytes at once, and holds them all as
+// spares once every stream has ended.
+TEST(SteadyStateAlloc, MixedChurnCreatesReassemblersOnlyForPeakConcurrency) {
+  constexpr int kRounds = 50;
+  constexpr std::uint16_t kCutoffZero = 8;
+  constexpr std::uint16_t kStoring = 4;
+  KernelConfig cfg;
+  CutoffClass zero;
+  zero.filter = BpfProgram::compile("tcp and port 9");
+  zero.cutoff_bytes = 0;
+  cfg.cutoff_classes.push_back(zero);
+  ScapKernel k(cfg);
+  testing::KernelInvariantGuard guard(k);
+
+  Timestamp t(1000);
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<testing::SessionBuilder> sessions;
+    // Interleaved creates, so each kind lands in slots the other kind
+    // released in the round before.
+    for (std::uint16_t i = 0; i < kCutoffZero + kStoring; ++i) {
+      const bool storing = i % 3 == 2;
+      const auto port = static_cast<std::uint16_t>(1000 + i);
+      sessions.emplace_back(
+          FiveTuple{0x0a000001, 0x0a000002, port,
+                    static_cast<std::uint16_t>(storing ? 80 : 9), kProtoTcp});
+      k.handle_packet(sessions.back().syn(t), t);
+      k.handle_packet(sessions.back().data("0123456789", t), t);
+    }
+    for (auto it = sessions.rbegin(); it != sessions.rend(); ++it) {
+      k.handle_packet(it->fin(t), t);
+    }
+    drain_all(k);
+    t = t + Duration::from_usec(10);
+  }
+
+  EXPECT_EQ(k.stats().streams_created,
+            std::uint64_t{kRounds} * (kCutoffZero + kStoring));
+  EXPECT_EQ(k.stats().bytes_stored, std::uint64_t{kRounds} * kStoring * 10);
+  EXPECT_LE(k.reassemblers().created(), kStoring);
+  EXPECT_EQ(k.reassemblers().spares(), k.reassemblers().created());
 }
 
 }  // namespace

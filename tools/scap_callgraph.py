@@ -209,6 +209,9 @@ REQUIRED_GUARDS = {
         # Spare chunk buffers: reassembly takes, release_chunk gives back
         # (DESIGN.md §7); both run inside the kernel's serial domain.
         "chunk_buffers_": "SCAP_GUARDED_BY",
+        # Spare reassemblers: handle_payload takes, terminate and expiry
+        # give back (DESIGN.md §7); serial domain only, likewise.
+        "reassemblers_": "SCAP_GUARDED_BY",
     },
     "kernel::KernelShards": {
         "pushed_": "SCAP_GUARDED_BY",
