@@ -1,3 +1,12 @@
 #include "base/clock.hpp"
 
-// Header-only today; this TU anchors the library target.
+namespace scap {
+
+HostDeadline::HostDeadline(std::chrono::nanoseconds budget)
+    : end_(std::chrono::steady_clock::now() + budget) {}
+
+bool HostDeadline::expired() const {
+  return std::chrono::steady_clock::now() >= end_;
+}
+
+}  // namespace scap

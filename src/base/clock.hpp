@@ -6,6 +6,7 @@
 // independent of the machine it runs on.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <compare>
 
@@ -91,6 +92,20 @@ class VirtualClock {
 
  private:
   Timestamp now_;
+};
+
+/// A deadline on the host's monotonic clock — the one wall-clock read in
+/// the tree. It bounds how long a producer waits for a worker to show
+/// progress (KernelShards' liveness wait, DESIGN.md §13) and feeds nothing
+/// else: no timestamp, counter or verdict is ever derived from it.
+class HostDeadline {
+ public:
+  /// Expires `budget` of host time from now.
+  explicit HostDeadline(std::chrono::nanoseconds budget);
+  bool expired() const;
+
+ private:
+  std::chrono::steady_clock::time_point end_;
 };
 
 }  // namespace scap

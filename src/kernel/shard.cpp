@@ -13,6 +13,10 @@
 namespace scap::kernel {
 namespace {
 
+/// Host time a suspect worker gets to retire an item before the stall
+/// policy fires (DESIGN.md §13); far longer than any healthy batch.
+constexpr std::chrono::milliseconds kLivenessDeadline{250};
+
 std::string law_violation(const char* law, std::uint64_t lhs,
                           std::uint64_t rhs) {
   return std::string(law) + " violated: " + std::to_string(lhs) + " vs " +
@@ -297,10 +301,9 @@ void KernelShards::declare_stall(std::size_t shard, Timestamp now) {
   worker_stalls_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t done =
       shards_[shard]->processed.load(std::memory_order_acquire);
-  const std::uint64_t outstanding =
-      pushed_[shard] > done ? pushed_[shard] - done : 0;
+  const std::uint64_t outstanding = pushed_[shard] - done;  // done <= pushed
   if (producer_tracer_ != nullptr) {
-    // scap-lint: allow(taint-sched) intentional telemetry: the stall event reports worker liveness, which IS schedule state; keyed-stall runs stay reproducible (chaos_smoke_mc)
+    // scap-lint: allow(taint-sched) trace payload only: `outstanding` reads the heartbeat, but a stall is declared only for a worker that retired nothing during the 250 ms liveness wait — a keyed-parked one, whose count is its push total (chaos_smoke_mc)
     SCAP_TRACE_EVENT(
         producer_tracer_.get(), trace::TraceEventType::kWorkerStall,
         static_cast<int>(shard), now, 0,
@@ -341,26 +344,32 @@ void KernelShards::check_watchdog(Timestamp now) {
       continue;
     }
     if (now - w.last_progress < opts_.stall_timeout) continue;
-    // Deadline passed with outstanding items and no progress. Grant a
-    // bounded real-time grace: a starved-but-healthy worker advances as
-    // soon as the producer yields the CPU; a parked one never does, which
-    // keeps the verdict deterministic in simulated time.
-    bool progressed = false;
-    for (std::size_t spin = 0; spin < opts_.stall_spin_limit; ++spin) {
-      wake(s);
-      std::this_thread::yield();
-      if (s.processed.load(std::memory_order_acquire) != items) {
-        progressed = true;
-        break;
-      }
-    }
-    if (progressed) {
-      w.heartbeat = s.processed.load(std::memory_order_acquire);
-      w.last_progress = now;
+    // Deadline passed with outstanding items and no progress. A healthy
+    // worker retires an item within the liveness wait however the host
+    // schedules it; a parked one never does (DESIGN.md §13).
+    if (!await_progress(s, items)) {
+      declare_stall(i, now);
       continue;
     }
-    declare_stall(i, now);
+    w.heartbeat = s.processed.load(std::memory_order_acquire);
+    w.last_progress = now;
   }
+}
+
+bool KernelShards::await_progress(Shard& s, std::uint64_t seen) {
+  // One wake per wait: a full ring can hold pushed-but-unpublished items
+  // for a parked worker, and once woken it drains until the ring is empty.
+  wake(s);
+  if (opts_.stall_timeout.ns() <= 0 || workers_.empty()) {
+    std::this_thread::yield();
+    return true;
+  }
+  const HostDeadline deadline(kLivenessDeadline);
+  while (s.processed.load(std::memory_order_acquire) <= seen) {
+    if (deadline.expired()) return false;
+    std::this_thread::yield();
+  }
+  return true;
 }
 
 void KernelShards::push_item(std::size_t shard, ShardItem item) {
@@ -394,19 +403,13 @@ void KernelShards::push_item(std::size_t shard, ShardItem item) {
       return;
     }
   }
-  std::size_t spins = 0;
-  const bool bounded = opts_.stall_timeout.ns() > 0 && !workers_.empty();
   while (!s.ring.try_push(std::move(item))) {
-    // Ring full: backpressure the producer (kick the worker, then yield)
-    // rather than drop — with admission off, loss must happen inside the
-    // kernels, where the paper's verdict accounting can see it. When the
-    // watchdog is armed the wait is bounded: a dead worker trips the stall
-    // policy instead of livelocking the producer.
-    wake(s);
-    // scap-lint: allow(hot-syscall) bounded producer backoff on a full ring; the watchdog turns a dead worker into a stall verdict instead of a livelock
-    std::this_thread::yield();
-    if (bounded && ++spins >= opts_.stall_spin_limit) {
-      // scap-lint: allow(hot-cold-call) fires once when the spin limit trips, never on the per-packet path
+    // Ring full: backpressure rather than drop — with admission off, loss
+    // must happen inside the kernels, where the paper's verdict accounting
+    // can see it. An armed watchdog bounds the wait.
+    // scap-lint: allow(hot-cold-call) entered only on a full ring, where the producer has nothing to do but wait for its worker
+    if (!await_progress(s, s.processed.load(std::memory_order_acquire))) {
+      // scap-lint: allow(hot-cold-call) fires once when the liveness wait runs out, never on the per-packet path
       declare_stall(shard, is_packet ? item.pkt.timestamp() : item.ts);
       if (is_packet) shed_packet(shard, item.pkt, /*stall=*/true, occ);
       return;
@@ -449,13 +452,10 @@ void KernelShards::flush() {
       // Bounded when the watchdog is armed: a dead worker trips the stall
       // policy (degraded shards are skipped — their residue is drained
       // inline by stop() once the workers are joined).
-      std::size_t spins = 0;
-      const bool bounded = opts_.stall_timeout.ns() > 0;
-      while (!watchdog_[i].degraded &&
-             s.processed.load(std::memory_order_acquire) < pushed_[i]) {
-        wake(s);
-        std::this_thread::yield();
-        if (bounded && ++spins >= opts_.stall_spin_limit) {
+      for (;;) {
+        const std::uint64_t done = s.processed.load(std::memory_order_acquire);
+        if (watchdog_[i].degraded || done >= pushed_[i]) break;
+        if (!await_progress(s, done)) {
           declare_stall(i, watchdog_[i].last_progress);
         }
       }

@@ -102,17 +102,11 @@ class KernelShards {
 
     /// Worker-stall watchdog deadline in simulated time, checked from the
     /// producer's tick cadence: a shard with outstanding items whose
-    /// consumption counter has not advanced for this long (and still does
-    /// not advance within a bounded real-time grace of `stall_spin_limit`
-    /// yields) is declared stalled. Zero (the default) disables.
+    /// consumption counter has not advanced for this long, and that then
+    /// retires nothing during a 250 ms host-time liveness wait (DESIGN.md
+    /// §13), is declared stalled. Zero (the default) disables.
     Duration stall_timeout = Duration(0);
     StallPolicy stall_policy = StallPolicy::kDegrade;
-    /// Bounded real-time grace (yield iterations) granted to a suspect
-    /// worker — and to full-ring backpressure when the watchdog is armed —
-    /// before the stall policy fires. A healthy-but-starved worker makes
-    /// progress as soon as the producer yields the CPU; a parked one never
-    /// does, which keeps the verdict deterministic.
-    std::size_t stall_spin_limit = std::size_t{1} << 20;
   };
 
   /// Event-drain hook: called on the worker thread after every processed
@@ -320,9 +314,14 @@ class KernelShards {
   void shed_packet(std::size_t shard, const Packet& pkt, bool stall,
                    std::size_t occ) SCAP_REQUIRES(producer_);
   /// Heartbeat check over every shard, run from tick_all at simulated time
-  /// `now`. Declares a stall per Options::stall_policy after the deadline
-  /// plus a bounded real-time grace.
+  /// `now`: Options::stall_timeout, then the liveness wait below.
   void check_watchdog(Timestamp now) SCAP_REQUIRES(producer_);
+  /// The one liveness wait (watchdog grace, full-ring backpressure,
+  /// flush): wake the worker, then yield until it has retired more than
+  /// `seen` items. Armed watchdog: false if 250 ms of host time pass
+  /// first. Unarmed: one backoff step; the caller re-tests.
+  SCAP_COLD bool await_progress(Shard& s, std::uint64_t seen)
+      SCAP_REQUIRES(producer_);
   /// Fire the stall policy for one shard (SCAP_ASSERT or degraded mode).
   SCAP_COLD void declare_stall(std::size_t shard, Timestamp now)
       SCAP_REQUIRES(producer_);

@@ -56,7 +56,6 @@ TEST(ShardWatchdog, DegradeIsolatesStalledShardOthersKeepProcessing) {
   opts.ring_capacity = 64;
   opts.stall_timeout = Duration::from_msec(5);
   opts.stall_policy = StallPolicy::kDegrade;
-  opts.stall_spin_limit = 512;  // the parked worker never progresses anyway
 
   KernelShards shards(cfg, /*num_shards=*/4, opts);
   FaultInjector injector(park_shard(1));
@@ -87,7 +86,7 @@ TEST(ShardWatchdog, DegradeIsolatesStalledShardOthersKeepProcessing) {
   EXPECT_FALSE(shards.degraded(1));
 
   // Past the deadline with a flat heartbeat and outstanding items: the
-  // bounded grace spin cannot observe progress (the worker is parked), so
+  // liveness wait cannot observe progress (the worker is parked), so
   // shard 1 must be degraded — and only shard 1.
   shards.tick_all(t0 + Duration::from_msec(8));
   EXPECT_EQ(shards.check_invariants(), "");
@@ -132,11 +131,57 @@ TEST(ShardWatchdog, DegradeIsolatesStalledShardOthersKeepProcessing) {
   EXPECT_EQ(fin.worker_stalls, 1u);
 }
 
+// A healthy worker that naps 200 us on every batch (kWorkerDelay) must
+// never be declared stalled. Each round issues a pair of ticks back to back
+// in wall time but a full stall_timeout apart in simulated time, with items
+// outstanding, so the second tick usually finds the worker mid-nap with a
+// flat heartbeat and must wait for it rather than judge it dead.
+TEST(ShardWatchdog, NappingHealthyWorkerIsNeverStalled) {
+  KernelConfig cfg;
+  cfg.memory_size = 8 << 20;
+
+  KernelShards::Options opts;
+  opts.ring_capacity = 64;
+  opts.stall_timeout = Duration::from_msec(5);
+  opts.stall_policy = StallPolicy::kDegrade;
+
+  KernelShards shards(cfg, /*num_shards=*/1, opts);
+  InjectionPlan plan;
+  plan.seed = 1;
+  plan.at(FaultPoint::kWorkerDelay).every_n = 1;  // nap on every batch
+  FaultInjector injector(plan);
+  FaultScope scope(injector);
+  base::SerialGuard prod(shards.producer());
+  shards.start({});
+
+  const Timestamp t0 = Timestamp(1'000'000'000);
+  shards.tick_all(t0);  // seeds the heartbeat baseline
+  for (int round = 0; round < 40; ++round) {
+    const Timestamp tick = t0 + opts.stall_timeout * (2 * round + 1);
+    for (int i = 0; i < 8; ++i) {
+      shards.submit_to(0, packet_for(static_cast<std::uint16_t>(2000 + i),
+                                     tick - Duration::from_usec(8 - i)));
+    }
+    for (const Timestamp now : {tick, tick + opts.stall_timeout}) {
+      shards.tick_all(now);
+      ASSERT_EQ(shards.stats().worker_stalls, 0u) << "round " << round;
+      ASSERT_EQ(shards.check_invariants(), "") << "round " << round;
+    }
+  }
+  EXPECT_GT(injector.injected(FaultPoint::kWorkerDelay), 0u)
+      << "the worker never napped; the test is vacuous";
+  EXPECT_FALSE(shards.degraded(0));
+  shards.stop(t0 + opts.stall_timeout * 81);
+  EXPECT_EQ(shards.check_invariants(), "");
+  EXPECT_EQ(shards.stats().pkts_seen, 40u * 8u);
+  EXPECT_EQ(shards.stats().ring_stall_shed_pkts, 0u);
+}
+
 // --- watchdog: fatal policy --------------------------------------------------
 
 #if defined(SCAP_ENABLE_INVARIANTS)
 // Under StallPolicy::kFatal the watchdog must abort within the deadline
-// (simulated deadline + bounded real-time grace) instead of hanging the
+// (simulated deadline + the bounded liveness wait) instead of hanging the
 // producer. Death test: the whole scenario runs in the forked child.
 TEST(ShardWatchdogDeathTest, FatalPolicyAbortsWithinDeadline) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -148,7 +193,6 @@ TEST(ShardWatchdogDeathTest, FatalPolicyAbortsWithinDeadline) {
         opts.ring_capacity = 64;
         opts.stall_timeout = Duration::from_msec(5);
         opts.stall_policy = StallPolicy::kFatal;
-        opts.stall_spin_limit = 512;
         KernelShards shards(cfg, 4, opts);
         FaultInjector injector(park_shard(1));
         FaultScope scope(injector);

@@ -43,6 +43,13 @@ edge — the discharge point for a callee whose taint drains entirely into
 registry-classified scheduling-dependent fields. Waivers that suppress
 nothing are reported stale.
 
+A `taint-sched` waiver may never excuse a write to a KernelStats field the
+registry classifies kDeterministic: such a field promises the same value
+however the host schedules threads, and a waiver cannot make that true.
+Whatever its shape — on the source, on the sink, or on a call edge whose
+call line writes the field — the waiver is refused (a finding on the
+waiver line) and the write is reported as if it were absent.
+
 The `stats-registry` rule machine-checks the registry itself: every
 KernelStats field and every trace::MetricsRegistry histogram must be
 classified exactly once, no row may go stale, and every
@@ -205,11 +212,12 @@ class Sink:
 
 
 class Source:
-    def __init__(self, rule, label, file, line):
+    def __init__(self, rule, label, file, line, waiver=None):
         self.rule = rule
         self.label = label
         self.file = file
         self.line = line
+        self.waiver = waiver   # line of a source-line waiver that cuts it
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +402,12 @@ def analyze_taint(graph, fixture_mode, root):
         w = waiver_at(rel, line, rule)
         if w is not None:
             used.add((rel, w, rule))
-            return
-        sources.setdefault(node, []).append(Source(rule, label, rel, line))
+            if rule != "taint-sched":
+                return
+            # Kept (marked waived) only so handle() can refuse the waiver
+            # where it would excuse a kDeterministic write.
+        sources.setdefault(node, []).append(
+            Source(rule, label, rel, line, waiver=w))
 
     for rel in sorted(stripped):
         for i, ln in enumerate(stripped[rel], start=1):
@@ -440,6 +452,22 @@ def analyze_taint(graph, fixture_mode, root):
                     add_sink(Sink("stats", f"KernelStats.{field}", rel, i,
                                   name=field))
 
+    # Lines that write a kDeterministic KernelStats field: no taint-sched
+    # waiver may excuse a finding there (module docstring).
+    det_writes = {}
+    for node_sinks in sinks.values():
+        for sink in node_sinks:
+            if sink.kind == "stats" and \
+                    reg.field_class(sink.name) == "kDeterministic":
+                det_writes.setdefault((sink.file, sink.line), sink.name)
+    refused = {}   # (file, waiver line) -> the kDeterministic field
+
+    def refuses(rule, file, line):
+        """The kDeterministic field a taint-sched waiver at a finding on
+        (file, line) would excuse, or None when the waiver may stand."""
+        return det_writes.get((file, line)) if rule == "taint-sched" \
+            else None
+
     def is_exporter(node):
         if fixture_mode:
             return node.name.startswith("exporter::") or \
@@ -482,17 +510,25 @@ def analyze_taint(graph, fixture_mode, root):
         if sink.kind == "stats":
             cls = reg.field_class(sink.name)
             if cls == "kSchedulingDependent":
-                witnesses.setdefault(sink.name, chain)
+                if src.waiver is None:
+                    witnesses.setdefault(sink.name, chain)
                 return
             if cls == "kShardGeometry":
                 return
         elif sink.kind == "metric":
             if reg.hist_class(sink.name) != "kDeterministic":
                 return
+        field = refuses(src.rule, sink.file, sink.line)
+        if src.waiver is not None:
+            if field is None:
+                return
+            refused.setdefault((src.file, src.waiver), field)
         w = waiver_at(sink.file, sink.line, src.rule)
         if w is not None:
             used.add((sink.file, w, src.rule))
-            return
+            if field is None:
+                return
+            refused.setdefault((sink.file, w), field)
         key = (src.rule, sink.file, sink.line)
         msg = (f"{RULE_WHAT[src.rule]} ({src.label}, {src.file}:{src.line}) "
                f"reaches {sink.label}")
@@ -519,7 +555,10 @@ def analyze_taint(graph, fixture_mode, root):
                     w = waiver_at(cfile, cline, rule)
                     if w is not None:
                         used.add((cfile, w, rule))
-                        continue
+                        field = refuses(rule, cfile, cline)
+                        if field is None:
+                            continue
+                        refused.setdefault((cfile, w), field)
                     parent[caller] = cur
                     order.append(caller)
                     queue.append(caller)
@@ -537,6 +576,11 @@ def analyze_taint(graph, fixture_mode, root):
     for (rule, file, line), (_, chain, msg) in sorted(candidates.items()):
         findings.append(CgFinding(file, line, rule, chain,
                                   f"{msg}: {chain_str(chain)}"))
+    for (file, line), field in sorted(refused.items()):
+        findings.append(CgFinding(
+            file, line, "taint-sched", [],
+            f"waiver refused: a taint-sched waiver may not excuse a write to "
+            f"KernelStats.{field}, registered kDeterministic in {reg.rel}"))
 
     # -- stats-registry: machine-check the registry itself ------------------
     if registry is not None:
